@@ -89,8 +89,8 @@ def measured(world, report):
     # a cgroup, pivot_root, and a seccomp load on top of a fork.
     from repro.host.backend import create_host
 
-    sud_create = create_host("sud").backend_impl.creation_cycles()
-    container_create = create_host("container").backend_impl.creation_cycles()
+    sud_create = create_host("sud").isolation.creation_cycles()
+    container_create = create_host("container").isolation.creation_cycles()
 
     rows = {
         "function": function,

@@ -196,7 +196,7 @@ class BackendBoundary(BoundaryMechanism):
 
     def creation_cycles(self) -> int:
         """Creating one context from scratch (the Figure 8 quantity)."""
-        return int(self.host.backend_impl.creation_cycles())
+        return int(self.host.isolation.creation_cycles())
 
 
 def spectrum_mechanisms(wasp: Wasp | None = None) -> dict[str, BoundaryMechanism]:

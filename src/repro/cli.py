@@ -157,13 +157,13 @@ def cmd_backends(args: argparse.Namespace) -> int:
     (the Table 2 matrix).  ``--json`` for machine-readable output.
     """
     from repro.baselines import spectrum_mechanisms
-    from repro.host.backend import BACKEND_NAMES, caps_of, create_host
+    from repro.host.backend import BACKEND_NAMES, create_host
 
     spectrum = spectrum_mechanisms()
     rows = []
     for name in BACKEND_NAMES:
         mechanism = spectrum[name]
-        caps = caps_of(create_host(name))
+        caps = create_host(name).caps
         crossing = mechanism.cross()
         creation = (mechanism.creation_cycles()
                     if hasattr(mechanism, "creation_cycles") else None)

@@ -15,5 +15,5 @@ __all__ = [
     "LoopbackNetwork",
     # Isolation backends (import from repro.host.backend to avoid the
     # module-load cycle with repro.wasp):
-    # BackendHost, IsolationBackend, create_host, BACKEND_NAMES
+    # IsolationBackend, create_host, BACKEND_NAMES
 ]

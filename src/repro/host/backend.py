@@ -13,52 +13,37 @@ container.  Every mechanism answers the same four questions:
   crash taxonomy (:class:`~repro.wasp.virtine.GuestFault` /
   :class:`~repro.wasp.virtine.PolicyKill` / ...)?
 
-:class:`IsolationBackend` is that contract; :class:`BackendHost` is the
-Wasp-shaped launcher that drives any backend through the *same* policy
-gate, handler table, audit log, deadline plane, and taxonomy as the KVM
-hypervisor -- which is what makes the cross-backend conformance suite
-(``tests/conformance/``) meaningful: identical verdicts, different costs.
+:class:`IsolationBackend` is that contract.  There is one launcher,
+:class:`~repro.wasp.hypervisor.Wasp`, and it drives every backend --
+KVM and Hyper-V included, through :class:`~repro.wasp.hypervisor.
+VmBackend` -- through the *same* pool, policy gate, handler table, audit
+log, deadline plane, and taxonomy, which is what makes the cross-backend
+conformance suite (``tests/conformance/``) meaningful: identical
+verdicts, different costs.
 
-Backend selection is by name (``"sud" | "container" | "process" |
-"thread"``; ``"kvm"`` selects the real :class:`~repro.wasp.hypervisor.
-Wasp`) through :func:`create_host` and the ``@virtine(backend=...)``
-decorator option.
+Backend selection is by name (``"kvm" | "sud" | "container" | "process"
+| "thread"``) through :func:`create_host` and the
+``@virtine(backend=...)`` decorator option.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.faults import NO_FAULTS, FaultPlan, FaultSite
 from repro.host.kernel import HostKernel
-from repro.hw.clock import BackgroundAccountant
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.memory import GuestMemory
-from repro.replay.stream import NO_RECORD
-from repro.runtime.image import VirtineImage
-from repro.telemetry.registry import NO_TELEMETRY, TelemetryRegistry
-from repro.trace.tracer import NO_TRACE, Category, Tracer
-from repro.wasp.guestenv import GuestEnv, GuestExitRequested
-from repro.wasp.handlers import CannedHandlers
-from repro.wasp.hypercall import (
-    Hypercall,
-    HypercallDenied,
-    HypercallError,
-    dispatch_handler,
-)
-from repro.wasp.hypervisor import HOST_PLANE_ERRNOS
-from repro.wasp.policy import DefaultDenyPolicy, Policy
-from repro.wasp.pool import CleanMode
-from repro.wasp.virtine import (
-    GuestFault,
-    HostFault,
-    PolicyKill,
-    Virtine,
-    VirtineCrash,
-    VirtineResult,
-    VirtineTimeout,
-)
+from repro.trace.tracer import NO_TRACE
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.wasp imports this)
+    from repro.faults import FaultPlan
+    from repro.runtime.image import VirtineImage
+    from repro.telemetry.registry import TelemetryRegistry
+    from repro.trace.tracer import Tracer
+    from repro.wasp.hypercall import Hypercall, HypercallDenied
+    from repro.wasp.hypervisor import Wasp
+    from repro.wasp.virtine import Virtine
 
 #: Every selectable backend, KVM included (the conformance matrix).
 BACKEND_NAMES = ("kvm", "sud", "container", "process", "thread")
@@ -70,7 +55,7 @@ DEFAULT_CONTEXT_MEMORY = 4 * 1024 * 1024
 
 class BackendViolation(Exception):
     """A backend-native isolation violation (mprotect trap, bad gate
-    transition...).  :class:`BackendHost` maps it into the shared crash
+    transition...).  The launch path maps it into the shared crash
     taxonomy as a :class:`~repro.wasp.virtine.GuestFault` -- the guest
     did something its mechanism forbids."""
 
@@ -116,26 +101,17 @@ KVM_CAPS = BackendCaps(snapshot=True, pooled=True, in_process=False,
                        kill_on_violation=False)
 
 
-def caps_of(host: Any) -> BackendCaps:
-    """The capability flags of any launcher, Wasp included.
-
-    :class:`BackendHost` carries its backend's caps directly; the KVM
-    hypervisor predates the caps dataclass (and cannot import this
-    module without a cycle), so its flags live in :data:`KVM_CAPS`.
-    Conformance tests gate divergences on these, never on names.
-    """
-    return getattr(host, "caps", KVM_CAPS)
-
-
 @dataclass
 class IsolationContext:
     """One isolated execution context (the backend analogue of a
     :class:`~repro.wasp.pool.Shell`).
 
-    Duck-types the parts of a shell the hosted path touches:
-    ``ctx.vm.memory`` and ``ctx.vm.milestones`` (via the ``vm`` property
-    returning the context itself), so :class:`~repro.wasp.guestenv.
-    GuestEnv` runs unchanged on every backend.
+    Duck-types the parts of a shell the pool and the hosted path touch:
+    ``ctx.vm.memory``, ``ctx.vm.milestones``, ``reset`` and
+    ``clear_memory`` (via the ``vm`` property returning the context
+    itself), so :class:`~repro.wasp.pool.ShellPool` and
+    :class:`~repro.wasp.guestenv.GuestEnv` run unchanged on every
+    backend.
     """
 
     backend: str
@@ -175,6 +151,11 @@ class IsolationBackend:
 
     name = "abstract"
     caps = BackendCaps()
+    #: The VMM device behind hardware contexts (``None`` for software
+    #: mechanisms, whose contexts the backend builds itself).
+    device = None
+    #: Where pool provisioning spans go; the launcher binds its tracer.
+    tracer: Tracer = NO_TRACE
 
     def __init__(self, kernel: HostKernel) -> None:
         self.kernel = kernel
@@ -224,6 +205,14 @@ class IsolationBackend:
         self.clock.advance(self.teardown_cycles())
         ctx.closed = True
 
+    def memory_size_for(self, image: VirtineImage) -> int:
+        """The context size an image's launches draw from the pool.
+
+        Software contexts are one fixed size (their memset cost is part
+        of every scrub), whatever the image.
+        """
+        return DEFAULT_CONTEXT_MEMORY
+
     def prepare_launch(self, virtine: Virtine) -> None:
         """Per-launch setup hook (seccomp filter install, gate arming)."""
 
@@ -239,443 +228,6 @@ class IsolationBackend:
         raise denied
 
 
-class ContextPool:
-    """A free list of reusable backend contexts (the shell-pool pattern).
-
-    Mirrors :class:`~repro.wasp.pool.ShellPool`: pool hits cost only
-    bookkeeping, crashed contexts are quarantined (synchronous scrub +
-    generation bump) rather than blindly reinserted, and the
-    :data:`~repro.faults.FaultSite.POOL_ACQUIRE` injection point models
-    a cached context found defective.
-    """
-
-    def __init__(
-        self,
-        backend: IsolationBackend,
-        memory_size: int = DEFAULT_CONTEXT_MEMORY,
-        background: BackgroundAccountant | None = None,
-        max_free: int = 64,
-        fault_plan: FaultPlan | None = None,
-        telemetry: TelemetryRegistry | None = None,
-    ) -> None:
-        self.backend = backend
-        self.memory_size = memory_size
-        self.background = background if background is not None else BackgroundAccountant()
-        self.max_free = max_free
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
-        self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
-        self._free: list[IsolationContext] = []
-        self.hits = 0
-        self.misses = 0
-        self.quarantines = 0
-        self.defects = 0
-
-    @property
-    def clock(self):
-        return self.backend.clock
-
-    def acquire(self) -> IsolationContext:
-        if self._free:
-            if self.fault_plan.draw(FaultSite.POOL_ACQUIRE):
-                self.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-                bad = self._free.pop()
-                self.backend.destroy(bad)
-                self.defects += 1
-                self.misses += 1
-                self.telemetry.counter("pool_defects_total",
-                                       backend=self.backend.name).inc()
-                self.telemetry.counter("pool_misses_total",
-                                       backend=self.backend.name).inc()
-                return self.backend.create(self.memory_size)
-            self.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-            self.hits += 1
-            self.telemetry.counter("pool_hits_total",
-                                   backend=self.backend.name).inc()
-            ctx = self._free.pop()
-            ctx.generation += 1
-            return ctx
-        self.misses += 1
-        self.telemetry.counter("pool_misses_total",
-                               backend=self.backend.name).inc()
-        return self.backend.create(self.memory_size)
-
-    def create_scratch(self) -> IsolationContext:
-        self.misses += 1
-        self.telemetry.counter("pool_misses_total",
-                               backend=self.backend.name).inc()
-        return self.backend.create(self.memory_size)
-
-    def release(self, ctx: IsolationContext,
-                clean: CleanMode = CleanMode.SYNC) -> None:
-        ctx.reset()
-        if clean is CleanMode.SYNC:
-            self.clock.advance(ctx.clear_memory())
-        elif clean is CleanMode.ASYNC:
-            self.background.charge(ctx.clear_memory())
-        if len(self._free) < self.max_free:
-            self.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-            self._free.append(ctx)
-        else:
-            self.backend.destroy(ctx)
-
-    def quarantine(self, ctx: IsolationContext) -> None:
-        """Reclaim a context that hosted a crash: the scrub is a security
-        boundary (never deferred), and the generation bump makes stale
-        references to the pre-crash occupancy detectable."""
-        self.quarantines += 1
-        self.telemetry.counter("pool_quarantines_total",
-                               backend=self.backend.name).inc()
-        ctx.reset()
-        self.clock.advance(ctx.clear_memory())
-        ctx.generation += 1
-        if len(self._free) < self.max_free:
-            self.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-            self._free.append(ctx)
-        else:
-            self.backend.destroy(ctx)
-
-    def prewarm(self, count: int) -> None:
-        target = min(count, self.max_free)
-        while len(self._free) < target:
-            self._free.append(self.backend.create(self.memory_size))
-
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
-
-
-class BackendHost:
-    """A Wasp-shaped launcher over any :class:`IsolationBackend`.
-
-    Presents the surface the rest of the stack programs against --
-    ``launch`` / ``clock`` / ``tracer`` / ``telemetry`` / ``supervisor``
-    / ``charge_guest`` / ``dispatch_hosted_hypercall`` -- so hosted guest
-    bodies, the ``@virtine`` decorator, and the supervision plane run
-    unchanged while every boundary is priced (and every violation
-    punished) by the selected mechanism.
-    """
-
-    def __init__(
-        self,
-        backend: IsolationBackend,
-        *,
-        fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
-        telemetry: TelemetryRegistry | bool | None = None,
-    ) -> None:
-        self.backend_impl = backend
-        self.backend = backend.name
-        self.caps = backend.caps
-        self.kernel = backend.kernel
-        self.costs = backend.costs
-        self.clock = backend.clock
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
-        if fault_plan is not None:
-            self.kernel.fault_plan = fault_plan
-        self.tracer = tracer if tracer is not None else NO_TRACE
-        self.tracer.bind(self.clock)
-        if isinstance(telemetry, TelemetryRegistry):
-            self.telemetry = telemetry
-        elif telemetry:
-            self.telemetry = TelemetryRegistry()
-        else:
-            self.telemetry = NO_TELEMETRY
-        self.telemetry.bind(self.clock)
-        self.recorder = NO_RECORD
-        self.canned = CannedHandlers(self.kernel)
-        self.background = BackgroundAccountant()
-        self.pool = ContextPool(
-            backend, background=self.background,
-            fault_plan=self.fault_plan, telemetry=self.telemetry,
-        )
-        #: GuestEnv.can_snapshot reads this through the shared accessor.
-        self.snapshot_capable = backend.caps.snapshot
-        self.launches = 0
-        self.timeouts = 0
-        #: Attached supervision plane, if any (set by the Supervisor).
-        self.supervisor = None
-        self.watchdog = None
-
-    # -- launch -----------------------------------------------------------
-    def launch(
-        self,
-        image: VirtineImage,
-        *,
-        policy: Policy | None = None,
-        handlers: dict[Hypercall, Callable] | None = None,
-        resources: dict[int, Any] | None = None,
-        allowed_paths: tuple[str, ...] | None = None,
-        args: Any = None,
-        pooled: bool | None = None,
-        clean: CleanMode = CleanMode.SYNC,
-        deadline_cycles: int | None = None,
-        deadline: Any = None,
-        **_wasp_compat: Any,
-    ) -> VirtineResult:
-        """Run ``image``'s hosted entry inside one isolated context.
-
-        Accepts (and ignores) the Wasp-only keywords -- ``use_snapshot``,
-        ``max_steps``, ``core``... -- so callers written against
-        :meth:`Wasp.launch` work unmodified.  ``pooled`` defaults to the
-        backend's declared capability: cheap-to-create mechanisms (SUD,
-        threads) build scratch contexts; expensive ones draw from the
-        pool.
-        """
-        if image.hosted_entry is None:
-            raise VirtineCrash(
-                f"backend {self.backend!r} hosts Python entries only; "
-                f"image {image.name!r} has none"
-            )
-        if pooled is None:
-            pooled = self.caps.pooled
-        self.launches += 1
-        region = self.clock.region()
-        launch_span = self.tracer.begin(
-            f"launch:{image.name}", Category.LAUNCH,
-            image=image.name, backend=self.backend,
-        )
-        try:
-            ctx = self.pool.acquire() if pooled else self.pool.create_scratch()
-            virtine = self._make_virtine(image, ctx, policy, handlers,
-                                         resources, allowed_paths)
-            virtine.started_cycles = self.clock.cycles
-            virtine.last_beat_cycles = self.clock.cycles
-            if deadline is not None:
-                virtine.deadline = int(deadline.expires_at)
-            elif deadline_cycles is not None:
-                virtine.deadline = self.clock.cycles + deadline_cycles
-            crashed = False
-            try:
-                self.backend_impl.prepare_launch(virtine)
-                self.clock.advance(self.backend_impl.enter_cycles())
-                self._run_entry(virtine, args)
-                self.clock.advance(self.backend_impl.exit_cycles())
-                milestones = [(m.marker, m.cycles) for m in ctx.milestones]
-            except BaseException:
-                crashed = True
-                raise
-            finally:
-                self._close_virtine_fds(virtine)
-                if pooled:
-                    if crashed:
-                        self.pool.quarantine(ctx)
-                    else:
-                        self.pool.release(ctx, clean)
-                else:
-                    self.backend_impl.destroy(ctx)
-        except BaseException as error:
-            launch_span.annotate(error=type(error).__name__)
-            self.telemetry.counter("launch_failures_total", image=image.name,
-                                   error=type(error).__name__).inc()
-            self.telemetry.record_flight("launch", "crash", image=image.name,
-                                         error=type(error).__name__)
-            raise
-        finally:
-            self.tracer.end(launch_span)
-        elapsed = region.stop()
-        self.telemetry.counter("launches_total", image=image.name,
-                               backend=self.backend).inc()
-        self.telemetry.histogram("launch_cycles", image=image.name).record(elapsed)
-        return VirtineResult(
-            value=virtine.result,
-            exit_code=virtine.exit_code,
-            cycles=elapsed,
-            hypercall_count=virtine.hypercall_count,
-            audit=virtine.audit,
-            from_snapshot=False,
-            milestones=milestones,
-        )
-
-    def launch_many(self, image: VirtineImage, args_list: list[Any], *,
-                    return_exceptions: bool = False,
-                    **launch_kwargs: Any) -> list[VirtineResult | BaseException]:
-        """Batched dispatch, routing through an attached supervisor."""
-        supervisor = self.supervisor
-        launcher = supervisor.launch if supervisor is not None else self.launch
-        results: list[VirtineResult | BaseException] = []
-        for args in args_list:
-            try:
-                results.append(launcher(image, args=args, **launch_kwargs))
-            except Exception as error:
-                if not return_exceptions:
-                    raise
-                results.append(error)
-        return results
-
-    # -- internals --------------------------------------------------------
-    def _make_virtine(
-        self,
-        image: VirtineImage,
-        ctx: IsolationContext,
-        policy: Policy | None,
-        handlers: dict[Hypercall, Callable] | None,
-        resources: dict[int, Any] | None,
-        allowed_paths: tuple[str, ...] | None,
-    ) -> Virtine:
-        table = dict(self.canned.table())
-        if handlers:
-            table.update(handlers)
-        virtine = Virtine(
-            name=image.name,
-            image=image,
-            shell=ctx,
-            policy=policy if policy is not None else DefaultDenyPolicy(),
-            handlers=table,
-            resources=dict(resources or {}),
-            allowed_path_prefixes=allowed_paths,
-        )
-        virtine.policy.reset()
-        return virtine
-
-    def _run_entry(self, virtine: Virtine, args: Any) -> None:
-        """Execute the hosted entry under the shared crash taxonomy.
-
-        The except-chain is deliberately identical to the KVM
-        hypervisor's hosted path: the conformance contract is that *who
-        is at fault* classifies the same on every mechanism, whatever
-        the mechanism-native signal was.
-        """
-        env = GuestEnv(self, virtine, args=args)
-        try:
-            with self.tracer.span("guest.hosted", Category.GUEST):
-                virtine.result = virtine.image.hosted_entry(env)
-        except GuestExitRequested:
-            pass
-        except HypercallDenied as error:
-            raise PolicyKill(
-                f"virtine {virtine.name!r} killed: {error}") from error
-        except IsolationKill as error:
-            raise PolicyKill(
-                f"virtine {virtine.name!r} killed: {error}") from error
-        except BackendViolation as error:
-            # The mechanism's own trap (mprotect fault, gate misuse):
-            # untrusted code did something forbidden -- a guest fault.
-            raise GuestFault(
-                f"virtine {virtine.name!r} faulted: {error}") from error
-        except HypercallError as error:
-            if error.errno_name in HOST_PLANE_ERRNOS:
-                raise HostFault(
-                    f"virtine {virtine.name!r} killed by host failure: {error}"
-                ) from error
-            raise GuestFault(
-                f"virtine {virtine.name!r} killed: {error}") from error
-        except VirtineCrash:
-            raise
-        except Exception as error:
-            raise GuestFault(
-                f"virtine {virtine.name!r} faulted: "
-                f"{type(error).__name__}: {error}") from error
-
-    # -- the GuestEnv surface (duck-typed Wasp) ---------------------------
-    def exit_boundary_cycles(self) -> int:
-        """EXIT pays only the outbound half of the crossing."""
-        return int(self.backend_impl.exit_cycles())
-
-    def dispatch_hosted_hypercall(self, virtine: Virtine, nr: Hypercall,
-                                  args: tuple) -> Any:
-        """One interposed host interaction: gate out, dispatch, gate back.
-
-        Same policy gate, audit, deadline check, and heartbeat as the
-        KVM path; the boundary cost classes and the consequence of a
-        denial are the backend's.
-        """
-        backend = self.backend_impl
-        boundary = self.telemetry.counter("component_cycles_total",
-                                          component="hypercall.boundary")
-        with self.tracer.span(f"hypercall:{nr.name}", Category.HYPERCALL):
-            out_cost = backend.gate_out_cycles(virtine, nr)
-            self.clock.advance(out_cost)
-            boundary.inc(int(out_cost))
-            virtine.hypercall_count += 1
-            self.telemetry.counter("hypercalls_total", nr=nr.name).inc()
-            if self.fault_plan.draw(FaultSite.GUEST_STALL, virtine.name):
-                from repro.wasp.hypervisor import GUEST_STALL_CYCLES
-
-                self.clock.advance(GUEST_STALL_CYCLES)
-            self.check_deadline(virtine)
-            self._beat(virtine)
-            try:
-                result = dispatch_handler(virtine, nr, args)
-                self._charge_marshalling(args, result)
-                return result
-            except HypercallDenied as denied:
-                backend.on_denied(virtine, nr, denied)
-                raise
-            finally:
-                back_cost = backend.gate_back_cycles(virtine, nr)
-                self.clock.advance(back_cost)
-                boundary.inc(int(back_cost))
-
-    def _charge_marshalling(self, args: tuple, result: Any) -> None:
-        """Data crossing the boundary is copied, not shared (Section 3)."""
-        moved = sum(len(a) for a in args if isinstance(a, (bytes, bytearray)))
-        if isinstance(result, (bytes, bytearray)):
-            moved += len(result)
-        if moved:
-            self.clock.advance(self.costs.memcpy(moved))
-
-    def capture_snapshot(self, virtine: Virtine, payload: Any) -> None:
-        """Snapshots are a declared capability; mechanisms without one
-        reject the hypercall *typed* (ENOSYS -> GuestFault), never as an
-        untyped surprise."""
-        raise HypercallError(
-            Hypercall.SNAPSHOT, "ENOSYS",
-            f"backend {self.backend!r} cannot capture reset states",
-        )
-
-    def check_deadline(self, virtine: Virtine) -> None:
-        """Kill a virtine past its cycle deadline (typed, like Wasp)."""
-        if virtine.deadline is not None and self.clock.cycles > virtine.deadline:
-            self.timeouts += 1
-            consumed = self.clock.cycles - virtine.started_cycles
-            self.telemetry.counter("timeouts_total", kind="deadline").inc()
-            raise VirtineTimeout(
-                f"virtine {virtine.name!r} exceeded its cycle deadline "
-                f"({consumed:,} cycles consumed)",
-                cycles=consumed,
-            )
-        if self.watchdog is not None:
-            self.watchdog.check(virtine, self.clock.cycles)
-
-    def charge_guest(self, virtine: Virtine, cycles: int) -> None:
-        """Deadline-clamped guest compute charge (mirrors Wasp exactly:
-        work is cancelled mid-compute, not finished on borrowed time)."""
-        if cycles < 0:
-            raise GuestFault(
-                f"virtine {virtine.name!r} charged negative guest cycles "
-                f"({cycles})"
-            )
-        if virtine.deadline is not None:
-            remaining = virtine.deadline - self.clock.cycles
-            if cycles > remaining:
-                self.clock.advance(max(0, remaining) + 1)
-                self.timeouts += 1
-                self.telemetry.counter("timeouts_total",
-                                       kind="mid_compute").inc()
-                consumed = self.clock.cycles - virtine.started_cycles
-                raise VirtineTimeout(
-                    f"virtine {virtine.name!r} cancelled at its cycle "
-                    f"deadline mid-compute ({consumed:,} cycles consumed)",
-                    cycles=consumed,
-                )
-        self.clock.advance(cycles)
-        self.check_deadline(virtine)
-
-    def _beat(self, virtine: Virtine) -> None:
-        virtine.last_beat_cycles = self.clock.cycles
-        virtine.beats += 1
-
-    def _close_virtine_fds(self, virtine: Virtine) -> None:
-        """Close any host fds the virtine leaked (isolation hygiene --
-        the conformance leak check asserts this reaches zero)."""
-        for fd in list(virtine.owned_fds):
-            try:
-                self.kernel.fs.close(fd)
-            except Exception:
-                pass
-            virtine.owned_fds.discard(fd)
-
-
 def create_host(
     name: str,
     kernel: HostKernel | None = None,
@@ -686,25 +238,25 @@ def create_host(
     tracer: Tracer | None = None,
     telemetry: TelemetryRegistry | bool | None = None,
     **wasp_kwargs: Any,
-):
-    """Build a launcher for a named backend.
+) -> Wasp:
+    """Build the :class:`~repro.wasp.hypervisor.Wasp` launcher for a named
+    backend.
 
-    ``"kvm"`` returns a full :class:`~repro.wasp.hypervisor.Wasp`; every
-    other name returns a :class:`BackendHost` over that mechanism.  The
-    ``seed`` parameterizes seeded backend state (the container's seccomp
-    rule ordering).
+    ``"kvm"`` gets the VM backend Wasp builds around its own device; every
+    other name gets that software mechanism, charging through ``kernel``.
+    The ``seed`` parameterizes seeded backend state (the container's
+    seccomp rule ordering).
     """
-    if name == "kvm":
-        from repro.wasp.hypervisor import Wasp
+    from repro.wasp.hypervisor import Wasp
 
-        return Wasp(kernel=kernel, costs=costs, fault_plan=fault_plan,
-                    tracer=tracer, telemetry=telemetry, **wasp_kwargs)
     if kernel is None:
         kernel = HostKernel(costs=costs, fault_plan=fault_plan)
-    if name == "sud":
+    if name == "kvm":
+        backend: str | IsolationBackend = name
+    elif name == "sud":
         from repro.host.sud import SudBackend
 
-        backend: IsolationBackend = SudBackend(kernel)
+        backend = SudBackend(kernel)
     elif name == "container":
         from repro.host.container import ContainerBackend
 
@@ -720,5 +272,6 @@ def create_host(
     else:
         raise ValueError(
             f"unknown isolation backend {name!r} (use one of {BACKEND_NAMES})")
-    return BackendHost(backend, fault_plan=fault_plan, tracer=tracer,
-                       telemetry=telemetry)
+    return Wasp(kernel=kernel, costs=costs, backend=backend,
+                fault_plan=fault_plan, tracer=tracer, telemetry=telemetry,
+                **wasp_kwargs)

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from repro.host.backend import BackendCaps, IsolationBackend
 from repro.host.kernel import HostKernel
-from repro.wasp.hypercall import Hypercall
-from repro.wasp.virtine import Virtine
 
 
 class ProcessBackend(IsolationBackend):
@@ -43,12 +41,6 @@ class ProcessBackend(IsolationBackend):
     def exit_cycles(self) -> int:
         # Switch back, read the response.
         return self.costs.CONTEXT_SWITCH + self.costs.syscall()
-
-    def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        return self.exit_cycles()
-
-    def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        return self.enter_cycles()
 
 
 class ProcessBaseline:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from repro.host.backend import BackendCaps, IsolationBackend
 from repro.host.kernel import HostKernel
-from repro.wasp.hypercall import Hypercall
-from repro.wasp.virtine import Virtine
 
 
 class ThreadBackend(IsolationBackend):
@@ -36,12 +34,6 @@ class ThreadBackend(IsolationBackend):
         return self.costs.FUNCTION_CALL
 
     def exit_cycles(self) -> int:
-        return self.costs.FUNCTION_CALL
-
-    def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        return self.costs.FUNCTION_CALL
-
-    def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
         return self.costs.FUNCTION_CALL
 
 

@@ -60,9 +60,9 @@ def get_default_host(backend: str):
     """The process-wide launcher for a named isolation backend.
 
     ``"kvm"`` shares :func:`get_default_wasp`; every other name lazily
-    builds (and caches) a :class:`~repro.host.backend.BackendHost` so
-    all ``@virtine(backend="sud")`` functions share one SUD plane, the
-    way all KVM virtines share one Wasp.
+    builds (and caches) a :class:`~repro.wasp.hypervisor.Wasp` over that
+    backend so all ``@virtine(backend="sud")`` functions share one SUD
+    plane, the way all KVM virtines share one Wasp.
     """
     if backend == "kvm":
         return get_default_wasp()

@@ -94,11 +94,12 @@ class GuestEnv:
     def can_snapshot(self) -> bool:
         """Whether the isolation backend underneath supports snapshots.
 
-        KVM virtines capture full reset states; in-process and container
-        backends cannot, and guest bodies that would call
+        Reads the backend's declared ``caps.snapshot``: KVM virtines
+        capture full reset states; in-process and container backends
+        cannot, and guest bodies that would call
         :meth:`snapshot` should gate on this instead of crashing.
         """
-        return bool(getattr(self._wasp, "snapshot_capable", True))
+        return self._wasp.caps.snapshot
 
     # -- instrumentation ------------------------------------------------------------
     def milestone(self, marker: int) -> None:
@@ -140,7 +141,7 @@ class GuestEnv:
         server's seven hypercalls (Section 6.3) -- but only pays the exit
         half of the round trip (there is no re-entry).
         """
-        self._wasp.clock.advance(self._wasp.exit_boundary_cycles())
+        self._wasp.clock.advance(self._wasp.isolation.exit_cycles())
         self._virtine.hypercall_count += 1
         self._virtine.audit.record(Hypercall.EXIT, allowed=True)
         self._virtine.exit_code = code

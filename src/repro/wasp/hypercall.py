@@ -110,8 +110,8 @@ class AuditLog:
 # Every isolation backend interposes on the same external channel with the
 # same policy and audit semantics; only the boundary-crossing *costs* and the
 # violation *consequences* differ per mechanism.  These two functions are
-# that shared core, used by the KVM hypervisor (:class:`repro.wasp.
-# hypervisor.Wasp`) and by every :class:`repro.host.backend.BackendHost`.
+# that shared core, used by :class:`repro.wasp.hypervisor.Wasp` on every
+# backend.
 
 def policy_gate(virtine: Any, nr: Hypercall) -> None:
     """Consult the virtine's policy and audit the decision.

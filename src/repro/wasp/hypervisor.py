@@ -2,14 +2,19 @@
 
 Wasp "is a userspace runtime system built as a library that host
 programs (virtine clients) can link against" -- here, a Python class that
-applications instantiate.  It owns the KVM device model, the shell pools,
-the snapshot store, and the hypercall dispatch path; clients configure
+applications instantiate.  It owns the isolation backend (by default the
+KVM device model, wrapped as a :class:`VmBackend`), the shell pools, the
+snapshot store, and the hypercall dispatch path; clients configure
 policies and handlers per launch.
 
 The launch path follows Figure 6: a request arrives (A), a context is
 provisioned from the pool (D) or created clean (C), the image (or its
 snapshot) is installed, the guest runs with hypercall interposition, and
-on return the context is cleared (E) and cached for reuse (B).
+on return the context is cleared (E) and cached for reuse (B).  Every
+backend on the isolation spectrum (:mod:`repro.host.backend`) runs this
+same lifecycle; only VM shells install images, restore snapshots, and
+run the ISA loop -- software contexts run the hosted entry between the
+backend's enter and exit crossings.
 """
 
 from __future__ import annotations
@@ -18,6 +23,12 @@ import copy
 from typing import Any, Callable
 
 from repro.faults import NO_FAULTS, FaultPlan, FaultSite, InjectedFault
+from repro.host.backend import (
+    KVM_CAPS,
+    BackendViolation,
+    IsolationBackend,
+    IsolationKill,
+)
 from repro.host.kernel import HostKernel
 from repro.units import us_to_cycles
 from repro.hw.clock import BackgroundAccountant
@@ -85,16 +96,57 @@ def _bucket_size(required: int) -> int:
     return size
 
 
-class Wasp:
-    """The embeddable virtine hypervisor."""
+class VmBackend(IsolationBackend):
+    """Hardware virtual contexts: KVM or Hyper-V shells driven through
+    the device.
 
-    BACKENDS = ("kvm", "hyperv")
+    Contexts are :class:`~repro.wasp.pool.Shell` objects built by the
+    device's create-VM, memory-region, and vCPU calls (each charging its
+    own cost); every crossing pays the world switch plus the ioctl ring
+    transitions ("doubly expensive", Section 6.3).
+    """
+
+    caps = KVM_CAPS
+
+    def __init__(self, device: Any, name: str = "kvm") -> None:
+        # Priced by the device's clock and cost model, not a host kernel.
+        self.device = device
+        self.name = name
+        self.costs = device.costs
+        self.clock = device.clock
+        self.tracer = device.tracer
+
+    def enter_cycles(self) -> int:
+        costs = self.costs
+        return costs.ioctl() + costs.KVM_RUN_CHECKS + costs.VMRUN_ENTRY
+
+    def exit_cycles(self) -> int:
+        costs = self.costs
+        return costs.VMRUN_EXIT + costs.ioctl()
+
+    def create(self, memory_size: int) -> Shell:
+        handle = self.device.create_vm()
+        handle.set_user_memory_region(memory_size)
+        return Shell(handle=handle, vcpu=handle.create_vcpu(),
+                     memory_size=memory_size)
+
+    def destroy(self, shell: Shell) -> None:
+        # Host-side VM teardown is off the critical path: no charge.
+        shell.handle.close()
+
+    def memory_size_for(self, image: VirtineImage) -> int:
+        """Power-of-two buckets large enough for image + runtime."""
+        return _bucket_size(_LOW_RESERVED + image.size + _RUNTIME_HEADROOM)
+
+
+class Wasp:
+    """The embeddable virtine hypervisor, over any isolation backend."""
 
     def __init__(
         self,
         kernel: HostKernel | None = None,
         costs: CostModel = COSTS,
-        backend: str = "kvm",
+        backend: str | IsolationBackend = "kvm",
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
         trace: bool = False,
@@ -153,30 +205,24 @@ class Wasp:
         #: this Wasp re-executes a recorded boundary stream instead of
         #: running a live guest.
         self.replay = replay
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown VMM backend {backend!r} (use one of {self.BACKENDS})")
-        if replay is not None:
-            # The replay substrate feeds recorded vmexits to the handler
-            # plane; no guest interpreter is ever constructed.
-            from repro.replay.substrate import ReplayHyperV, ReplayKVM
-
-            device_cls = ReplayKVM if backend == "kvm" else ReplayHyperV
-            self.kvm = device_cls(self.clock, costs, fault_plan=self.fault_plan,
-                                  tracer=self.tracer, fast_paths=fast_paths,
-                                  recorder=self.recorder, session=replay)
-        elif backend == "kvm":
-            self.kvm = KVM(self.clock, costs, fault_plan=self.fault_plan,
-                           tracer=self.tracer, fast_paths=fast_paths,
-                           recorder=self.recorder, jit=self.jit)
-        else:
-            from repro.hyperv.device import HyperV
-
-            self.kvm = HyperV(self.clock, costs, fault_plan=self.fault_plan,
-                              tracer=self.tracer, fast_paths=fast_paths,
-                              recorder=self.recorder, jit=self.jit)
-        self.backend = backend
-        #: Backend-neutral alias ("kvm" is the historical attribute name).
-        self.vmm = self.kvm
+        if backend in ("kvm", "hyperv"):
+            backend = VmBackend(self._make_device(backend, fast_paths), backend)
+        elif isinstance(backend, str):
+            raise ValueError(
+                f"unknown VMM backend {backend!r} (use 'kvm', 'hyperv', or an "
+                f"IsolationBackend; create_host builds the software ones)")
+        if backend.device is None and (recorder is not None or replay is not None):
+            raise ValueError(
+                f"record/replay needs a VM backend, not {backend.name!r}")
+        #: The isolation mechanism every launch runs under.
+        self.isolation: IsolationBackend = backend
+        backend.tracer = self.tracer
+        #: Its declared capabilities (conformance gates on these).
+        self.caps = backend.caps
+        self.backend = backend.name
+        #: The VMM device (``None`` on software backends); ``vmm`` is the
+        #: backend-neutral alias of the historical ``kvm`` name.
+        self.kvm = self.vmm = backend.device
         self.background = BackgroundAccountant()
         #: Reset-state registry.  The in-memory :class:`SnapshotStore`
         #: by default; pass a :class:`repro.store.cas.DurableSnapshotStore`
@@ -208,23 +254,43 @@ class Wasp:
         #: (set by the watchdog; consulted at every preemption point).
         self.watchdog = None
 
+    def _make_device(self, name: str, fast_paths: bool) -> Any:
+        """The VMM device behind a VM backend.
+
+        Under replay the substrate's device stands in: it feeds recorded
+        vmexits to the handler plane and never constructs a guest
+        interpreter.
+        """
+        common = dict(fault_plan=self.fault_plan, tracer=self.tracer,
+                      fast_paths=fast_paths, recorder=self.recorder)
+        if self.replay is not None:
+            from repro.replay.substrate import ReplayHyperV, ReplayKVM
+
+            device_cls = ReplayKVM if name == "kvm" else ReplayHyperV
+            return device_cls(self.clock, self.costs, session=self.replay,
+                              **common)
+        if name == "kvm":
+            return KVM(self.clock, self.costs, jit=self.jit, **common)
+        from repro.hyperv.device import HyperV
+
+        return HyperV(self.clock, self.costs, jit=self.jit, **common)
+
     # -- pools ---------------------------------------------------------------
     def memory_size_for(self, image: VirtineImage) -> int:
         """The pool bucket an image's virtines draw shells from."""
-        required = _LOW_RESERVED + image.size + _RUNTIME_HEADROOM
-        return _bucket_size(required)
+        return self.isolation.memory_size_for(image)
 
     def pool_for(self, memory_size: int) -> ShellPool | ShardedShellPool:
         if memory_size not in self._pools:
             if self.cores > 1:
                 self._pools[memory_size] = ShardedShellPool(
-                    self.kvm, memory_size, background=self.background,
+                    self.isolation, memory_size, background=self.background,
                     fault_plan=self.fault_plan, shards=self.cores,
                     telemetry=self.telemetry,
                 )
             else:
                 self._pools[memory_size] = ShellPool(
-                    self.kvm, memory_size, background=self.background,
+                    self.isolation, memory_size, background=self.background,
                     fault_plan=self.fault_plan, telemetry=self.telemetry,
                 )
         return self._pools[memory_size]
@@ -250,7 +316,7 @@ class Wasp:
         use_snapshot: bool = True,
         snapshot_key: str | None = None,
         restore_mode: RestoreMode = RestoreMode.EAGER,
-        pooled: bool = True,
+        pooled: bool | None = None,
         clean: CleanMode = CleanMode.SYNC,
         max_steps: int = 50_000_000,
         deadline_cycles: int | None = None,
@@ -261,11 +327,18 @@ class Wasp:
 
         ``pooled=False`` forces scratch context creation (the "Wasp"
         series of Figure 8); otherwise shells are drawn from and returned
-        to the per-size pool under the ``clean`` discipline.  When
+        to the per-size pool under the ``clean`` discipline.  The default
+        is the backend's declared ``caps.pooled``: cheap-to-create
+        mechanisms (SUD, threads) build scratch contexts.  When
         ``use_snapshot`` is set and the image has a stored reset state,
         boot and runtime initialisation are skipped (Figure 7) -- unless
         its integrity checksum mismatches, in which case the launch falls
         back to a cold boot and the rotted snapshot is dropped.
+
+        Image install, snapshots, and the ISA run loop (``use_snapshot``,
+        ``snapshot_key``, ``restore_mode``, ``max_steps``) apply only to
+        VM shells; a software context runs the image's hosted entry
+        between the backend's enter and exit crossings.
 
         ``deadline_cycles`` bounds the launch's *total* simulated-cycle
         budget; exceeding it (or ``max_steps``) raises a typed
@@ -281,6 +354,16 @@ class Wasp:
         ``core`` selects the shell-pool shard on a multi-core Wasp
         (``cores > 1``); single-core Wasps ignore it.
         """
+        isolation = self.isolation
+        # The one "is this a VM?" decision: only a VM backend has a device.
+        on_vm = isolation.device is not None
+        if not on_vm and image.hosted_entry is None:
+            raise VirtineCrash(
+                f"backend {self.backend!r} hosts Python entries only; "
+                f"image {image.name!r} has none"
+            )
+        if pooled is None:
+            pooled = self.caps.pooled
         self.launches += 1
         self.recorder.launch_begin(image.name, pooled, use_snapshot)
         pool = self._pool_view(image, core)
@@ -306,24 +389,33 @@ class Wasp:
             from_snapshot = False
             crashed = False
             try:
-                snap = None
-                if use_snapshot:
-                    try:
-                        snap = self._usable_snapshot(virtine.snapshot_key)
-                    except SnapshotGone as gone:
-                        shell = self._replace_gone_shell(pool, shell, pooled, gone)
-                        virtine.shell = shell
-                if snap is not None:
-                    from_snapshot = True
-                    self._restore_snapshot(virtine, snap, restore_mode)
-                    if snap.hosted:
-                        self._run_hosted(virtine, args, restored=snap.payload_copy(),
-                                         from_snapshot=True)
-                    self._run_loop(virtine, args, max_steps)
+                if on_vm:
+                    # VM-only steps: snapshot restore or image install,
+                    # then the ISA run loop.
+                    snap = None
+                    if use_snapshot:
+                        try:
+                            snap = self._usable_snapshot(virtine.snapshot_key)
+                        except SnapshotGone as gone:
+                            shell = self._replace_gone_shell(pool, shell, pooled, gone)
+                            virtine.shell = shell
+                    if snap is not None:
+                        from_snapshot = True
+                        self._restore_snapshot(virtine, snap, restore_mode)
+                        if snap.hosted:
+                            self._run_hosted(virtine, args, restored=snap.payload_copy(),
+                                             from_snapshot=True)
+                        self._run_loop(virtine, args, max_steps)
+                    else:
+                        self._install_image(virtine)
+                        self._run_loop(virtine, args, max_steps)
+                    final_ax = shell.vm.cpu.regs["ax"]
                 else:
-                    self._install_image(virtine)
-                    self._run_loop(virtine, args, max_steps)
-                final_ax = shell.vm.cpu.regs["ax"]
+                    isolation.prepare_launch(virtine)
+                    self.clock.advance(isolation.enter_cycles())
+                    self._run_hosted(virtine, args, restored=None)
+                    self.clock.advance(isolation.exit_cycles())
+                    final_ax = 0
                 milestones = [(m.marker, m.cycles) for m in shell.vm.milestones]
             except BaseException:
                 crashed = True
@@ -336,7 +428,7 @@ class Wasp:
                     else:
                         pool.release(shell, clean)
                 else:
-                    shell.handle.close()
+                    isolation.destroy(shell)
             launch_span.annotate(from_snapshot=from_snapshot)
         except BaseException as error:
             launch_span.annotate(error=type(error).__name__)
@@ -544,7 +636,7 @@ class Wasp:
         if pooled:
             pool.quarantine_defect(shell)
             return pool.acquire()
-        shell.handle.close()
+        self.isolation.destroy(shell)
         return pool.create_scratch()
 
     def check_deadline(self, virtine: Virtine) -> None:
@@ -682,8 +774,13 @@ class Wasp:
         remaining = virtine.deadline - self.clock.cycles
         return max(1, min(steps_left, remaining + 1))
 
-    def _run_loop(self, virtine: Virtine, args: Any, max_steps: int) -> None:
-        """Drive KVM_RUN until the guest halts or exits."""
+    def _run_loop(self, virtine: Virtine, args: Any, max_steps: int,
+                  persistent: dict | None = None) -> None:
+        """Drive KVM_RUN until the guest halts or exits.
+
+        ``persistent`` is a session's retained state, handed to the
+        hosted entry when the guest reaches the trampoline.
+        """
         shell = virtine.shell
         steps_left = max_steps
         while True:
@@ -703,7 +800,8 @@ class Wasp:
                 return
             if info.reason is ExitReason.IO_OUT:
                 if info.port == HOSTED_ENTER_PORT:
-                    self._run_hosted(virtine, args, restored=None)
+                    self._run_hosted(virtine, args, restored=None,
+                                     persistent=persistent)
                     continue
                 if info.port == HCALL_PORT:
                     if self._isa_hypercall(virtine, info.value):
@@ -769,11 +867,18 @@ class Wasp:
             # guest: it must escape the crash taxonomy untouched.
             recorder.hosted_end(["divergence"])
             raise
-        except HypercallDenied as error:
-            # A guest that trips the policy dies; the host and other
+        except (HypercallDenied, IsolationKill) as error:
+            # A guest that trips the policy dies -- by catchable denial or
+            # by the mechanism's uncatchable kill; the host and other
             # virtines are unaffected (Section 3.3).
             crash = PolicyKill(f"virtine {virtine.name!r} killed: {error}")
             recorder.hosted_end(["crash", "PolicyKill", str(crash)])
+            raise crash from error
+        except BackendViolation as error:
+            # The mechanism's own trap (mprotect fault, gate misuse):
+            # untrusted code did something forbidden -- a guest fault.
+            crash = GuestFault(f"virtine {virtine.name!r} faulted: {error}")
+            recorder.hosted_end(["crash", "GuestFault", str(crash)])
             raise crash from error
         except HypercallError as error:
             # An unhandled hypercall error kills the virtine.  Who is at
@@ -943,31 +1048,22 @@ class Wasp:
         return False
 
     # -- hypercall dispatch -------------------------------------------------------------
-    #: KVM snapshots full reset states; backends that cannot advertise
-    #: False here and :attr:`GuestEnv.can_snapshot` reflects it.
-    snapshot_capable = True
-
-    def exit_boundary_cycles(self) -> int:
-        """Cycles the EXIT hypercall's one-way boundary crossing costs.
-
-        Exit pays only the outbound half of the round trip (there is no
-        re-entry); each isolation backend prices this differently.
-        """
-        return int(self.costs.VMRUN_EXIT + self.costs.ioctl())
-
     def dispatch_hosted_hypercall(self, virtine: Virtine, nr: Hypercall, args: tuple) -> Any:
         """Full-cost hypercall from a hosted guest: exit, dispatch, re-enter.
 
-        The exits are "doubly expensive due to the ring transitions
-        necessitated by KVM" (Section 6.3): the guest pays the world
-        switch out, the ioctl return to userspace, the handler's own host
-        syscalls, and the ioctl + world switch back in.
+        The boundary is the backend's: on KVM the exits are "doubly
+        expensive due to the ring transitions necessitated by KVM"
+        (Section 6.3) -- the world switch out, the ioctl return to
+        userspace, the handler's own host syscalls, and the ioctl + world
+        switch back in; SUD pays its SIGSYS bounce, a container its IPC
+        and seccomp walk.  What a policy denial *does* is the backend's
+        too (:meth:`~repro.host.backend.IsolationBackend.on_denied`).
         """
-        costs = self.costs
+        isolation = self.isolation
         boundary = self.telemetry.counter("component_cycles_total",
                                           component="hypercall.boundary")
         with self.tracer.span(f"hypercall:{nr.name}", Category.HYPERCALL):
-            out_cost = costs.VMRUN_EXIT + costs.ioctl()
+            out_cost = isolation.gate_out_cycles(virtine, nr)
             self.clock.advance(out_cost)
             boundary.inc(int(out_cost))
             virtine.hypercall_count += 1
@@ -989,14 +1085,15 @@ class Wasp:
                 self._charge_marshalling(args, result)
                 self.recorder.hosted_hypercall_end(op, "ok", result)
                 return result
-            except HypercallDenied:
+            except HypercallDenied as denied:
                 self.recorder.hosted_hypercall_end(op, "denied")
+                isolation.on_denied(virtine, nr, denied)
                 raise
             except HypercallError as error:
                 self.recorder.hosted_hypercall_end(op, "error", str(error))
                 raise
             finally:
-                back_cost = costs.ioctl() + costs.KVM_RUN_CHECKS + costs.VMRUN_ENTRY
+                back_cost = isolation.gate_back_cycles(virtine, nr)
                 self.clock.advance(back_cost)
                 boundary.inc(int(back_cost))
 
@@ -1016,17 +1113,27 @@ class Wasp:
 
     # -- snapshots ------------------------------------------------------------------------
     def capture_snapshot(self, virtine: Virtine, payload: Any) -> None:
-        """SNAPSHOT hypercall from a hosted guest (policy-checked)."""
-        costs = self.costs
+        """SNAPSHOT hypercall from a hosted guest (policy-checked).
+
+        Snapshots are a declared capability: a backend without one
+        rejects the hypercall *typed* (ENOSYS -> GuestFault) before
+        anything is charged, never as an untyped surprise.
+        """
+        if not self.caps.snapshot:
+            raise HypercallError(
+                Hypercall.SNAPSHOT, "ENOSYS",
+                f"backend {self.backend!r} cannot capture reset states",
+            )
+        isolation = self.isolation
         with self.tracer.span("hypercall:SNAPSHOT", Category.HYPERCALL):
-            self.clock.advance(costs.VMRUN_EXIT + costs.ioctl())
+            self.clock.advance(isolation.gate_out_cycles(virtine, Hypercall.SNAPSHOT))
             virtine.hypercall_count += 1
             self.recorder.hosted_snapshot(payload)
             try:
                 self._policy_gate(virtine, Hypercall.SNAPSHOT)
                 self._capture(virtine, payload, hosted=True)
             finally:
-                self.clock.advance(costs.ioctl() + costs.KVM_RUN_CHECKS + costs.VMRUN_ENTRY)
+                self.clock.advance(isolation.gate_back_cycles(virtine, Hypercall.SNAPSHOT))
 
     def _capture(self, virtine: Virtine, payload: Any, hosted: bool) -> None:
         vm = virtine.shell.vm
@@ -1081,6 +1188,9 @@ class VirtineSession:
         allowed_paths: tuple[str, ...] | None = None,
         use_snapshot: bool = True,
     ) -> None:
+        if wasp.isolation.device is None:
+            raise ValueError(
+                f"a session retains a VM shell; backend {wasp.backend!r} has none")
         self.wasp = wasp
         self.image = image
         self.use_snapshot = use_snapshot
@@ -1147,10 +1257,10 @@ class VirtineSession:
                     restored=snap.payload_copy(), persistent=self._persistent,
                     from_snapshot=True,
                 )
-                wasp._run_loop(self._virtine, args, max_steps)
+                wasp._run_loop(self._virtine, args, max_steps, self._persistent)
             else:
                 wasp._install_image(self._virtine)
-                self._run_cold(args, max_steps)
+                wasp._run_loop(self._virtine, args, max_steps, self._persistent)
         else:
             # Warm re-entry: the runtime inside the retained context is
             # still alive; one KVM_RUN round trip re-enters it.
@@ -1196,43 +1306,6 @@ class VirtineSession:
             self._shell = None
             self._virtine = None
             self._persistent.clear()
-
-    def _run_cold(self, args: Any, max_steps: int) -> None:
-        virtine = self._virtine
-        assert virtine is not None
-        wasp = self.wasp
-        shell = virtine.shell
-        steps_left = max_steps
-        while True:
-            try:
-                info = shell.vcpu.run(wasp._deadline_slice(virtine, steps_left))
-            except InjectedFault as fault:
-                raise HostFault(
-                    f"session virtine {virtine.name!r} lost its vCPU: {fault}"
-                ) from fault
-            steps_left -= info.steps
-            wasp.check_deadline(virtine)
-            if info.reason is ExitReason.HLT:
-                return
-            if info.reason is ExitReason.IO_OUT and info.port == HOSTED_ENTER_PORT:
-                wasp._run_hosted(virtine, args, restored=None,
-                                 persistent=self._persistent)
-                continue
-            if info.reason is ExitReason.IO_OUT and info.port == HCALL_PORT:
-                if wasp._isa_hypercall(virtine, info.value):
-                    return
-                continue
-            if info.detail == STEP_BUDGET_EXHAUSTED:
-                if steps_left > 0:
-                    continue
-                wasp.timeouts += 1
-                raise VirtineTimeout(
-                    f"session virtine {virtine.name!r} exhausted its step "
-                    f"budget ({max_steps - steps_left:,} steps)",
-                    steps=max_steps - steps_left,
-                    cycles=wasp.clock.cycles - virtine.started_cycles,
-                )
-            raise GuestFault(f"session virtine stopped unexpectedly: {info}")
 
     def close(self, clean: CleanMode = CleanMode.SYNC) -> None:
         """Release the retained shell back to the pool."""

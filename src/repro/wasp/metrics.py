@@ -381,6 +381,8 @@ def collect(wasp: Wasp) -> WaspMetrics:
         for kind, count in watchdog.kills_by_kind.items():
             if count:
                 hangs_by_kind[kind.value] = count
+    # Software backends have no VMM device, hence no VM fds.
+    device = wasp.isolation.device
     admission_admitted = admission_timeouts = admission_queue_high_water = 0
     admission_shed: dict[str, int] = {}
     if admission is not None:
@@ -390,7 +392,7 @@ def collect(wasp: Wasp) -> WaspMetrics:
         admission_shed = dict(admission.shed_by_reason)
     return WaspMetrics(
         launches=wasp.launches,
-        vms_created=wasp.kvm.vms_created,
+        vms_created=device.vms_created if device is not None else 0,
         snapshot_captures=wasp.snapshots.captures,
         snapshot_restores=wasp.snapshots.restores,
         background_cycles=wasp.background.cycles,
@@ -407,7 +409,7 @@ def collect(wasp: Wasp) -> WaspMetrics:
         breaker_rejections=breaker_rejections,
         crashes_by_class=crashes_by_class,
         breaker_states=breaker_states,
-        vms_closed=wasp.kvm.vms_closed,
+        vms_closed=device.vms_closed if device is not None else 0,
         admission_admitted=admission_admitted,
         admission_shed=admission_shed,
         admission_timeouts=admission_timeouts,

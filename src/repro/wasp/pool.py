@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 from repro.faults import NO_FAULTS, FaultPlan, FaultSite
 from repro.hw.clock import BackgroundAccountant
-from repro.kvm.device import KVM, VcpuHandle, VMHandle
+from repro.host.backend import IsolationBackend, IsolationContext
+from repro.kvm.device import VcpuHandle, VMHandle
 from repro.telemetry.registry import NO_TELEMETRY, TelemetryRegistry
 from repro.trace.tracer import Category
 
@@ -51,18 +52,24 @@ class Shell:
 
 
 class ShellPool:
-    """A pool of reusable shells, keyed externally by memory size."""
+    """A pool of reusable contexts, keyed externally by memory size.
+
+    The one pool for every isolation backend: contexts are created and
+    destroyed through the backend (VM shells on KVM/Hyper-V,
+    :class:`~repro.host.backend.IsolationContext` elsewhere), so hits,
+    misses, quarantine, and the fault plan behave identically on all.
+    """
 
     def __init__(
         self,
-        kvm: KVM,
+        backend: IsolationBackend,
         memory_size: int,
         background: BackgroundAccountant | None = None,
         max_free: int = 64,
         fault_plan: FaultPlan | None = None,
         telemetry: TelemetryRegistry | None = None,
     ) -> None:
-        self.kvm = kvm
+        self.backend = backend
         self.memory_size = memory_size
         self.background = background if background is not None else BackgroundAccountant()
         self.max_free = max_free
@@ -83,25 +90,26 @@ class ShellPool:
         self.restore_defects = 0
 
     # -- provisioning --------------------------------------------------------
-    def acquire(self) -> Shell:
+    def acquire(self) -> Shell | IsolationContext:
         """Provision a shell: reuse a cached one or create from scratch.
 
         A pool hit costs only the free-list bookkeeping; a miss pays the
-        full ``KVM_CREATE_VM`` + memory-region + vCPU construction.  A
+        backend's full construction (``KVM_CREATE_VM`` + memory region +
+        vCPU on a VM).  A
         cached shell can be found defective (injected fault: its virtual
         context no longer validates); it is destroyed and replaced with a
         scratch build rather than handed to the caller -- the fault is
         absorbed here, at the cost of a miss.
         """
-        with self.kvm.tracer.span("pool.acquire", Category.POOL) as span:
+        backend = self.backend
+        with backend.tracer.span("pool.acquire", Category.POOL) as span:
             if self._free:
                 if self.fault_plan.draw(FaultSite.POOL_ACQUIRE):
                     # Detecting and discarding the defective shell is free-list
                     # work like any other: charge the bookkeeping cost so the
                     # Wasp+C series does not understate latency under faults.
-                    self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
-                    bad = self._free.pop()
-                    bad.handle.close()
+                    backend.clock.advance(backend.costs.POOL_BOOKKEEPING)
+                    backend.destroy(self._free.pop())
                     self.defects += 1
                     self.misses += 1
                     self.telemetry.counter("pool_defects_total",
@@ -109,8 +117,8 @@ class ShellPool:
                     self.telemetry.counter("pool_misses_total",
                                            bucket_mb=self._bucket_mb).inc()
                     span.annotate(outcome="defect")
-                    return self._create()
-                self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
+                    return backend.create(self.memory_size)
+                backend.clock.advance(backend.costs.POOL_BOOKKEEPING)
                 self.hits += 1
                 self.telemetry.counter("pool_hits_total",
                                        bucket_mb=self._bucket_mb).inc()
@@ -122,43 +130,40 @@ class ShellPool:
             self.telemetry.counter("pool_misses_total",
                                    bucket_mb=self._bucket_mb).inc()
             span.annotate(outcome="miss")
-            return self._create()
+            return backend.create(self.memory_size)
 
-    def create_scratch(self) -> Shell:
+    def create_scratch(self) -> Shell | IsolationContext:
         """Create a shell from scratch, bypassing the cache (the "Wasp"
         series of Figure 8 -- every invocation pays full construction)."""
-        with self.kvm.tracer.span("pool.acquire", Category.POOL, outcome="scratch"):
+        backend = self.backend
+        with backend.tracer.span("pool.acquire", Category.POOL, outcome="scratch"):
             self.misses += 1
             self.telemetry.counter("pool_misses_total",
                                    bucket_mb=self._bucket_mb).inc()
-            return self._create()
-
-    def _create(self) -> Shell:
-        handle = self.kvm.create_vm()
-        handle.set_user_memory_region(self.memory_size)
-        vcpu = handle.create_vcpu()
-        return Shell(handle=handle, vcpu=vcpu, memory_size=self.memory_size)
+            return backend.create(self.memory_size)
 
     # -- release -----------------------------------------------------------------
-    def release(self, shell: Shell, clean: CleanMode = CleanMode.SYNC) -> None:
+    def release(self, shell: Shell | IsolationContext,
+                clean: CleanMode = CleanMode.SYNC) -> None:
         """Return a shell to the pool under the given cleaning discipline."""
-        with self.kvm.tracer.span("pool.release", Category.TEARDOWN,
-                                  clean=clean.value):
+        backend = self.backend
+        with backend.tracer.span("pool.release", Category.TEARDOWN,
+                                 clean=clean.value):
             vm = shell.vm
             vm.reset()
             if clean is CleanMode.SYNC:
-                self.kvm.clock.advance(vm.clear_memory())
+                backend.clock.advance(vm.clear_memory())
             elif clean is CleanMode.ASYNC:
                 # The scrub still happens (state must not leak), but its cost
                 # lands on the background accountant, not request latency.
                 self.background.charge(vm.clear_memory())
             if len(self._free) < self.max_free:
-                self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
+                backend.clock.advance(backend.costs.POOL_BOOKKEEPING)
                 self._free.append(shell)
             else:
-                shell.handle.close()
+                backend.destroy(shell)
 
-    def quarantine(self, shell: Shell) -> None:
+    def quarantine(self, shell: Shell | IsolationContext) -> None:
         """Reclaim a shell that hosted a crash.
 
         A crashed virtine's shell must never be blindly reinserted: its
@@ -169,21 +174,22 @@ class ShellPool:
         the background accountant), and bumps the generation so stale
         references to the pre-crash occupancy are detectable.
         """
-        with self.kvm.tracer.span("pool.quarantine", Category.TEARDOWN):
+        backend = self.backend
+        with backend.tracer.span("pool.quarantine", Category.TEARDOWN):
             self.quarantines += 1
             self.telemetry.counter("pool_quarantines_total",
                                    bucket_mb=self._bucket_mb).inc()
             vm = shell.vm
             vm.reset()
-            self.kvm.clock.advance(vm.clear_memory())
+            backend.clock.advance(vm.clear_memory())
             shell.generation += 1
             if len(self._free) < self.max_free:
-                self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
+                backend.clock.advance(backend.costs.POOL_BOOKKEEPING)
                 self._free.append(shell)
             else:
-                shell.handle.close()
+                backend.destroy(shell)
 
-    def quarantine_defect(self, shell: Shell) -> None:
+    def quarantine_defect(self, shell: Shell | IsolationContext) -> None:
         """Quarantine a shell whose restore source was yanked away.
 
         The GC-vs-restore race lands here: the shell was acquired
@@ -207,7 +213,8 @@ class ShellPool:
         too-eager prewarm cannot grow the free list past the cap.
         """
         target = min(count, self.max_free)
-        created = [self._create() for _ in range(target - len(self._free))]
+        created = [self.backend.create(self.memory_size)
+                   for _ in range(target - len(self._free))]
         self._free.extend(created)
 
     @property
@@ -246,7 +253,7 @@ class _ShardView:
 class ShardedShellPool:
     """Per-core shards of one bucket's shell cache, with work-stealing.
 
-    Every shard is a plain :class:`ShellPool` (same KVM device, same
+    Every shard is a plain :class:`ShellPool` (same backend, same
     clock domain -- sharding models per-core free lists with no shared
     lock, not separate machines).  A core whose shard is empty steals
     the newest free shell from the richest sibling before paying scratch
@@ -260,7 +267,7 @@ class ShardedShellPool:
 
     def __init__(
         self,
-        kvm: KVM,
+        backend: IsolationBackend,
         memory_size: int,
         background: BackgroundAccountant | None = None,
         max_free: int = 64,
@@ -271,13 +278,13 @@ class ShardedShellPool:
     ) -> None:
         if shards <= 0:
             raise ValueError(f"need at least one shard, got {shards}")
-        self.kvm = kvm
+        self.backend = backend
         self.memory_size = memory_size
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
         #: Per-shard cap: the aggregate cache never exceeds ``max_free``.
         per_shard = max(1, max_free // shards)
         self.shards_list = [
-            ShellPool(kvm, memory_size, background=background,
+            ShellPool(backend, memory_size, background=background,
                       max_free=per_shard, fault_plan=fault_plan,
                       telemetry=self.telemetry)
             for _ in range(shards)
@@ -301,13 +308,13 @@ class ShardedShellPool:
             victim = self._victim(local)
             if victim is not None:
                 # The hand-off is free-list bookkeeping on both ends.
-                self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
+                self.backend.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
                 local._free.append(victim._free.pop())
                 self.steals += 1
                 self.telemetry.counter(
                     "pool_steals_total",
                     bucket_mb=self.memory_size // (1024 * 1024)).inc()
-                self.kvm.tracer.instant("pool.steal", Category.POOL,
+                self.backend.tracer.instant("pool.steal", Category.POOL,
                                         to_shard=core % len(self.shards_list))
         return local.acquire()
 

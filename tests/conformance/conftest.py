@@ -11,16 +11,17 @@ import os
 
 import pytest
 
-from repro.host.backend import BACKEND_NAMES, caps_of, create_host
+from repro.host.backend import BACKEND_NAMES, create_host
 
 #: Seeds the backends' seeded state (the container's seccomp chain
 #: layout).  CI exports CONFORMANCE_SEED=${{ github.run_id }}.
 CONFORMANCE_SEED = int(os.environ.get("CONFORMANCE_SEED", "1234"))
 
 
-def make_host(backend_name: str, seed: int = CONFORMANCE_SEED):
-    """A fresh launcher for ``backend_name`` with the conformance fs."""
-    host = create_host(backend_name, seed=seed)
+def make_host(backend_name: str, seed: int = CONFORMANCE_SEED, **options):
+    """A fresh launcher for ``backend_name`` with the conformance fs
+    (``options`` go to :func:`create_host`: ``trace``, ``telemetry``...)."""
+    host = create_host(backend_name, seed=seed, **options)
     host.kernel.fs.add_file("/public/data.txt", b"public")
     host.kernel.fs.add_file("/secret/key.pem", b"PRIVATE KEY")
     return host
@@ -38,4 +39,4 @@ def host(backend_name):
 
 @pytest.fixture
 def caps(host):
-    return caps_of(host)
+    return host.caps

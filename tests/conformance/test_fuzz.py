@@ -10,8 +10,6 @@ must be deterministic under its seed.
 
 import pytest
 
-from repro.host.backend import caps_of
-
 from tests.conformance.conftest import CONFORMANCE_SEED, make_host
 from tests.conformance.hostile import HOSTILE_OPERATORS, run_battery
 
@@ -58,7 +56,7 @@ class TestHostileBattery:
                         if o.operator == "swallowed-kill"]
             assert outcomes
             for case in outcomes:
-                if caps_of(host).kill_on_violation:
+                if host.caps.kill_on_violation:
                     assert case.outcome == "typed:PolicyKill", (name, case)
                 else:
                     assert case.outcome == "completed", (name, case)

@@ -135,9 +135,7 @@ class TestCrossBackendEquivalence:
         for name in BACKEND_NAMES:
             host = make_host(name)
             image = ImageBuilder().hosted("swallow", entry)
-            from repro.host.backend import caps_of
-
-            if caps_of(host).kill_on_violation:
+            if host.caps.kill_on_violation:
                 with pytest.raises(PolicyKill):
                     host.launch(image, policy=DefaultDenyPolicy())
             else:

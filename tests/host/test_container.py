@@ -112,7 +112,7 @@ class TestKillSemantics:
         image = ImageBuilder().hosted("swallower", entry)
         with pytest.raises(PolicyKill, match="seccomp"):
             host.launch(image, policy=DefaultDenyPolicy())
-        assert host.backend_impl.kills == 1
+        assert host.isolation.kills == 1
 
     def test_seccomp_kill_is_a_base_exception(self):
         assert issubclass(SeccompKill, IsolationKill)
@@ -150,14 +150,14 @@ class TestKillSemantics:
 class TestContainerCosts:
     def test_creation_is_mid_range(self):
         host = create_host("container")
-        creation = host.backend_impl.creation_cycles()
-        process = create_host("process").backend_impl.creation_cycles()
-        sud = create_host("sud").backend_impl.creation_cycles()
+        creation = host.isolation.creation_cycles()
+        process = create_host("process").isolation.creation_cycles()
+        sud = create_host("sud").isolation.creation_cycles()
         # Namespaces + cgroup + pivot_root + filter load sit on top of a
         # plain fork: dearer than a process, far dearer than SUD.
         assert creation > process > sud
 
     def test_crossing_pays_the_filter_walk(self):
-        backend = create_host("container").backend_impl
+        backend = create_host("container").isolation
         assert isinstance(backend, ContainerBackend)
         assert backend.enter_cycles() > backend.exit_cycles()

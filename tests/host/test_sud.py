@@ -110,7 +110,7 @@ class TestSudBackendCosts:
         return create_host("sud")
 
     def test_creation_is_near_zero(self, host):
-        backend = host.backend_impl
+        backend = host.isolation
         assert backend.creation_cycles() == (
             COSTS.PRCTL_SUD_SETUP + COSTS.MPROTECT_REGION)
         # The whole point of the mechanism: creation is cheaper than one

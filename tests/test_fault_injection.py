@@ -152,11 +152,12 @@ class TestResourceExhaustion:
         assert wasp.kernel.fs.open_fd_count() == 0
 
     def test_pool_overflow_closes_shells(self):
+        from repro.wasp.hypervisor import VmBackend
         from repro.wasp.pool import ShellPool
         from repro.kvm.device import KVM
         from repro.hw.clock import Clock
 
-        pool = ShellPool(KVM(Clock()), 4 * 1024 * 1024, max_free=2)
+        pool = ShellPool(VmBackend(KVM(Clock())), 4 * 1024 * 1024, max_free=2)
         shells = [pool.create_scratch() for _ in range(5)]
         for shell in shells:
             pool.release(shell)

@@ -8,13 +8,13 @@ The whole file is parameterized over the isolation spectrum: the
 ``host`` fixture yields every backend (KVM virtines, SUD, container,
 process, pthread), so each objective is asserted per mechanism.
 Capability-gated divergences (snapshots, catchable denials) skip via
-:func:`repro.host.backend.caps_of`, never by backend name.
+the launcher's declared ``host.caps``, never by backend name.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.host.backend import BACKEND_NAMES, caps_of, create_host
+from repro.host.backend import BACKEND_NAMES, create_host
 from repro.runtime.image import ImageBuilder
 from repro.wasp import (
     BitmaskPolicy,
@@ -124,7 +124,7 @@ class TestInterVirtineSecrecy:
         assert probes[0] == probes[2] == probes[3] == bytes(16)
 
     def test_snapshot_of_one_image_not_visible_to_another(self, host):
-        if not caps_of(host).snapshot:
+        if not host.caps.snapshot:
             pytest.skip("backend declares no snapshot capability")
         policy = lambda: BitmaskPolicy(VirtineConfig.allowing(Hypercall.SNAPSHOT))
 
@@ -162,7 +162,7 @@ class TestInterVirtineSecrecy:
         assert result.value == b"blocked"
 
     def test_snapshot_payload_mutation_isolated(self, host):
-        if not caps_of(host).snapshot:
+        if not host.caps.snapshot:
             pytest.skip("backend declares no snapshot capability")
         policy = lambda: BitmaskPolicy(VirtineConfig.allowing(Hypercall.SNAPSHOT))
 
@@ -198,7 +198,7 @@ class TestDefaultDeny:
             host.launch(image, policy=DefaultDenyPolicy())
 
     def test_denials_are_audited(self, host):
-        if caps_of(host).kill_on_violation:
+        if host.caps.kill_on_violation:
             pytest.skip("first denial kills the context; audit log dies "
                         "with it (declared kill_on_violation capability)")
 

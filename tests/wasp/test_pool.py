@@ -5,6 +5,7 @@ import pytest
 from repro.hw.clock import BackgroundAccountant, Clock
 from repro.hw.costs import COSTS
 from repro.kvm.device import KVM
+from repro.wasp.hypervisor import VmBackend
 from repro.wasp.pool import CleanMode, ShellPool
 
 MEM = 4 * 1024 * 1024
@@ -12,7 +13,7 @@ MEM = 4 * 1024 * 1024
 
 @pytest.fixture
 def pool():
-    return ShellPool(KVM(Clock()), MEM, background=BackgroundAccountant())
+    return ShellPool(VmBackend(KVM(Clock())), MEM, background=BackgroundAccountant())
 
 
 class TestAcquire:
@@ -34,7 +35,7 @@ class TestAcquire:
         assert pool.acquire().generation == 1
 
     def test_hit_is_cheap_miss_is_expensive(self, pool):
-        clock = pool.kvm.clock
+        clock = pool.backend.clock
         with clock.region() as miss:
             shell = pool.acquire()
         pool.release(shell, CleanMode.NONE)
@@ -59,12 +60,12 @@ class TestAcquire:
     def test_prewarm_clamped_to_max_free(self):
         """An over-eager prewarm must not grow the free list past the
         cap that release/quarantine enforce."""
-        pool = ShellPool(KVM(Clock()), MEM, max_free=2)
+        pool = ShellPool(VmBackend(KVM(Clock())), MEM, max_free=2)
         pool.prewarm(10)
         assert pool.free_count == 2
 
     def test_prewarm_tops_up_without_overshoot(self):
-        pool = ShellPool(KVM(Clock()), MEM, max_free=4)
+        pool = ShellPool(VmBackend(KVM(Clock())), MEM, max_free=4)
         pool.prewarm(2)
         pool.prewarm(4)
         assert pool.free_count == 4
@@ -80,7 +81,7 @@ class TestAcquire:
         plan = FaultPlan(seed=9)
         plan.fail(FaultSite.POOL_ACQUIRE, rate=1.0)
         kvm = KVM(Clock())
-        pool = ShellPool(kvm, MEM, fault_plan=plan)
+        pool = ShellPool(VmBackend(kvm), MEM, fault_plan=plan)
         pool.release(pool.acquire(), CleanMode.NONE)
         bad = pool._free[0]
         with kvm.clock.region() as region:
@@ -99,7 +100,7 @@ class TestRelease:
 
     def test_sync_clean_scrubs_and_charges(self, pool):
         shell = self._dirty_shell(pool)
-        clock = pool.kvm.clock
+        clock = pool.backend.clock
         before = clock.cycles
         pool.release(shell, CleanMode.SYNC)
         assert clock.cycles > before
@@ -107,7 +108,7 @@ class TestRelease:
 
     def test_async_clean_scrubs_but_charges_background(self, pool):
         shell = self._dirty_shell(pool)
-        clock = pool.kvm.clock
+        clock = pool.backend.clock
         before = clock.cycles
         pool.release(shell, CleanMode.ASYNC)
         # Only bookkeeping lands on the critical path.
@@ -129,7 +130,7 @@ class TestRelease:
         assert not shell.vm.cpu.halted
 
     def test_max_free_cap(self):
-        pool = ShellPool(KVM(Clock()), MEM, max_free=1)
+        pool = ShellPool(VmBackend(KVM(Clock())), MEM, max_free=1)
         a = pool.acquire()
         b = pool.create_scratch()
         pool.release(a)
@@ -141,7 +142,7 @@ class TestRelease:
         """The overflow shell's handle must actually be torn down at the
         KVM device, not just dropped from the free list."""
         kvm = KVM(Clock())
-        pool = ShellPool(kvm, MEM, max_free=1)
+        pool = ShellPool(VmBackend(kvm), MEM, max_free=1)
         a = pool.acquire()
         b = pool.create_scratch()
         pool.release(a)
@@ -151,7 +152,7 @@ class TestRelease:
 
     def test_overflow_quarantine_closes_vm_on_device(self):
         kvm = KVM(Clock())
-        pool = ShellPool(kvm, MEM, max_free=1)
+        pool = ShellPool(VmBackend(kvm), MEM, max_free=1)
         a = pool.acquire()
         b = pool.create_scratch()
         pool.release(a)
@@ -162,7 +163,7 @@ class TestRelease:
 
     def test_close_is_idempotent_in_bookkeeping(self):
         kvm = KVM(Clock())
-        pool = ShellPool(kvm, MEM, max_free=0)
+        pool = ShellPool(VmBackend(kvm), MEM, max_free=0)
         shell = pool.acquire()
         pool.release(shell)
         shell.handle.close()  # double close must not double count

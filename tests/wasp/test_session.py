@@ -103,3 +103,29 @@ class TestSessionWithSnapshot:
         result = session.invoke()
         assert result.from_snapshot
         session.close()
+
+
+class TestSessionRunLoop:
+    """The session's cold path drives the same KVM_RUN loop as a launch."""
+
+    def test_unknown_port_read_yields_zero_in_both_paths(self, wasp):
+        """An ``in`` from a port with no device model reads 0, whether
+        the guest runs under ``launch`` or a session's cold invoke."""
+        from repro.hw.cpu import Mode
+        from repro.hw.isa import Assembler
+        from repro.runtime.boot import boot_source
+        from repro.runtime.image import VirtineImage
+
+        program = Assembler(0x8000).assemble(
+            boot_source(Mode.PROT32, "    mov ax, 7\n    in ax, 0x60\n    hlt"))
+        image = VirtineImage(name="in-port", program=program,
+                             mode=Mode.PROT32, size=len(program.image))
+        assert wasp.launch(image, use_snapshot=False).ax == 0
+        with wasp.session(image, use_snapshot=False) as session:
+            assert session.invoke().ax == 0
+
+    def test_session_needs_a_vm_backend(self, builder):
+        from repro.host.backend import create_host
+
+        with pytest.raises(ValueError, match="VM shell"):
+            create_host("sud").session(builder.hosted("counter", counter_entry))
