@@ -133,9 +133,8 @@ class IsolationContext:
 
     def clear_memory(self) -> int:
         """Zero the context's memory; returns the memset cycle cost."""
-        self.memory._data[:] = bytes(self.memory.size)
-        self.memory._touched.clear()
-        self.memory._dirty.clear()
+        self.memory.fill(0)
+        self.memory.reset_touch_tracking()
         return int(self.memory.size * COSTS.MEMCPY_CYCLES_PER_BYTE)
 
 
@@ -203,6 +202,7 @@ class IsolationBackend:
 
     def destroy(self, ctx: IsolationContext) -> None:
         self.clock.advance(self.teardown_cycles())
+        ctx.memory.release()
         ctx.closed = True
 
     def memory_size_for(self, image: VirtineImage) -> int:

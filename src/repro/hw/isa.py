@@ -377,9 +377,12 @@ class Interpreter:
 
     STACK_WIDTH = {Mode.REAL16: 2, Mode.PROT32: 4, Mode.LONG64: 8}
 
-    #: Predecode results kept per program object (LRU); shells re-attach
-    #: the same ``Program`` on every snapshot restore, so the compile cost
-    #: is paid once per image rather than once per launch.
+    #: Per-program decode entries kept (LRU): the address index plus the
+    #: handlers compiled so far.  Shells re-attach the same ``Program``
+    #: on every snapshot restore and pool reuse, so each executed
+    #: instruction's handler is compiled once per image per interpreter,
+    #: not once per launch -- and instructions never dispatched
+    #: (superblocks run nearly all of them) are never compiled.
     DECODE_CACHE_PROGRAMS = 8
 
     def __init__(
@@ -407,8 +410,10 @@ class Interpreter:
         self.fast_paths = fast_paths
         self.program: Program | None = None
         self._by_addr: dict[int, Instr] = {}
-        self._decoded: dict[int, Callable[[], None]] = {}
-        self._decode_cache: "OrderedDict[int, tuple[Program, dict]]" = OrderedDict()
+        #: rip -> compiled handler, filled on first dispatch; ``None`` on
+        #: the reference path (``fast_paths=False``).
+        self._decoded: dict[int, Callable[[], None]] | None = None
+        self._decode_cache: "OrderedDict[int, tuple[Program, dict, dict]]" = OrderedDict()
         self.instructions_retired = 0
         self.component_cycles: dict[str, int] = {}
         #: Optional component-charge observer ``(name, cycles) -> None``
@@ -480,9 +485,9 @@ class Interpreter:
     def attach_program(self, program: Program, reset_rip: bool = True) -> None:
         """Attach ``program`` without rewriting memory (snapshot resume)."""
         self.program = program
-        self._by_addr = {insn.addr: insn for insn in program.instructions}
-        self._decoded = self._predecode(program) if self.fast_paths else {}
-        if self.jit and self._decoded:
+        self._by_addr, decoded = self._predecode(program)
+        self._decoded = decoded if self.fast_paths else None
+        if self.jit:
             # Bind the per-image compiled-block cache (content-hash keyed,
             # shared across every shell of the image in this domain):
             # pooled and COW-restored shells re-attach here and start
@@ -694,24 +699,36 @@ class Interpreter:
         return value - (mask + 1) if value & sign_bit else value
 
     # -- predecode (fast-path dispatch) --------------------------------------------
-    def _predecode(self, program: Program) -> dict[int, Callable[[], None]]:
-        """Bind every instruction to a specialized handler closure.
+    def _predecode(self, program: Program
+                   ) -> tuple[dict[int, Instr], dict[int, Callable[[], None]]]:
+        """The program's address index and its (lazily filled) handler map.
 
         Keyed by program object identity: shells re-attach the same
-        ``Program`` on every snapshot restore and pool reuse, so the hot
-        path pays the closure construction once per image.
+        ``Program`` on every snapshot restore and pool reuse, so the
+        index is built once per image and every handler compiled on an
+        earlier launch is reused.  Handlers are compiled one at a time by
+        :meth:`_handler_at` on their first dispatch.
         """
         key = id(program)
         cached = self._decode_cache.get(key)
         if cached is not None and cached[0] is program:
             self._decode_cache.move_to_end(key)
-            return cached[1]
-        decoded = {insn.addr: self._compile(insn)
-                   for insn in program.instructions}
-        self._decode_cache[key] = (program, decoded)
+            return cached[1], cached[2]
+        by_addr = {insn.addr: insn for insn in program.instructions}
+        decoded: dict[int, Callable[[], None]] = {}
+        self._decode_cache[key] = (program, by_addr, decoded)
         while len(self._decode_cache) > self.DECODE_CACHE_PROGRAMS:
             self._decode_cache.popitem(last=False)
-        return decoded
+        return by_addr, decoded
+
+    def _handler_at(self, rip: int) -> Callable[[], None] | None:
+        """Compile (and keep) the handler of the instruction at ``rip``;
+        ``None`` when no instruction starts there (a fetch fault)."""
+        insn = self._by_addr.get(rip)
+        if insn is None:
+            return None
+        handler = self._decoded[rip] = self._compile(insn)
+        return handler
 
     def _compile_read(self, operand: Operand) -> Callable[[], int]:
         """Resolve one operand to a zero-argument reader closure.
@@ -1309,11 +1326,13 @@ class Interpreter:
         cpu = self.cpu
         if cpu.halted:
             raise HaltExit()
-        if self._trace is None and self._decoded:
+        if self._trace is None and self._decoded is not None:
             # Fast path: the handler closure carries the operand accessors
             # and the fall-through RIP, and charges INSN_BASE itself;
             # charges are identical to _dispatch.
             handler = self._decoded.get(cpu.rip)
+            if handler is None:
+                handler = self._handler_at(cpu.rip)
             if handler is None:
                 raise TripleFault(
                     f"instruction fetch from unmapped rip {cpu.rip:#x}")
@@ -1482,7 +1501,7 @@ class Interpreter:
         if budget <= 0:
             self.last_run_steps = 0
             return 0
-        if self._trace is not None or not self._decoded:
+        if self._trace is not None or self._decoded is None:
             # Reference path: per-step dispatch keeps step()'s semantics
             # (and the debug ring buffer) intact.
             completed = 0
@@ -1500,7 +1519,7 @@ class Interpreter:
             # Fetch is checked before the charge (a bad entry RIP leaves
             # the charge pending), after which the flag stays False for
             # the rest of the run -- so the loop below can skip it.
-            if self._decoded.get(cpu.rip) is None:
+            if cpu.rip not in self._by_addr:
                 self.last_run_steps = 0
                 raise TripleFault(
                     f"instruction fetch from unmapped rip {cpu.rip:#x}")
@@ -1508,6 +1527,7 @@ class Interpreter:
             self._charge_component("first instruction",
                                    self.costs.FIRST_INSTRUCTION)
         decoded_get = self._decoded.get
+        handler_at = self._handler_at
         executed = 0
         fetch_fault = False
         cache = self._jit_cache
@@ -1564,8 +1584,10 @@ class Interpreter:
                                 continue  # dispatch it on this same rip
                     handler = decoded_get(rip)
                     if handler is None:
-                        fetch_fault = True
-                        break
+                        handler = handler_at(rip)
+                        if handler is None:
+                            fetch_fault = True
+                            break
                     executed += 1
                     handler()
                     mask = cpu.mask
@@ -1607,8 +1629,10 @@ class Interpreter:
             while executed < budget:
                 handler = decoded_get(cpu.rip)
                 if handler is None:
-                    fetch_fault = True
-                    break
+                    handler = handler_at(cpu.rip)
+                    if handler is None:
+                        fetch_fault = True
+                        break
                 executed += 1
                 handler()
         except BaseException:

@@ -379,7 +379,7 @@ class _Emitter:
         self.flags_dirty = False
         self.uses_flags_obj = False
         self.uses_tlb = False
-        #: True once a 64-bit paged access inlined the bytearray fast
+        #: True once a 64-bit paged access inlined the backing-mapping fast
         #: path (prologue then binds ``_data``/``_sz8``/the packers).
         self.uses_mem8 = False
         self.uses_quiet = False
@@ -511,7 +511,7 @@ class _Emitter:
         """A guest load; ``pend`` carries past it (deferred flush).
 
         64-bit paged loads inline the accessor's own fast path -- bounds
-        check + in-place struct decode from the backing bytearray -- and
+        check + in-place struct decode from the backing mapping -- and
         fall back to the bound accessor (which re-checks and raises the
         proper error) when out of bounds.
         """
@@ -800,8 +800,8 @@ class _Emitter:
         for width in sorted(self.write_widths):
             prologue.append(f"write{width} = _mw[{width}]")
         if self.uses_mem8:
-            # Re-derived each invocation: ``fill()`` rebinds the backing
-            # bytearray, so it is not identity-stable across runs.
+            # Read from the memory at each invocation: compiled blocks
+            # are shared by every interpreter of the image in the domain.
             prologue.append("_data = _mem._data")
             prologue.append("_sz8 = _mem.size - 8")
             if 8 in self.read_widths:

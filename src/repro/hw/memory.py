@@ -1,7 +1,14 @@
 """Guest physical memory.
 
-A :class:`GuestMemory` is a flat ``bytearray`` with 4 KB page-granular
-first-touch tracking.  First-touch tracking is what makes the paper's
+A :class:`GuestMemory` is a flat private anonymous ``mmap`` with 4 KB
+page-granular first-touch tracking.  The mapping is how a real VMM backs
+``KVM_SET_USER_MEMORY_REGION``: the host kernel hands out zero pages on
+first touch, so creating a VM costs no up-front memset and a guest holds
+host memory only for the pages it (or an image load) actually touched.
+:meth:`GuestMemory.release` unmaps the backing when the VM is destroyed,
+rather than whenever the garbage collector gets to it.
+
+First-touch tracking is what makes the paper's
 "Paging identity mapping" cost (Table 1) *emerge* rather than being a
 canned constant: the first store to each previously-untouched guest page
 raises an EPT-violation event, and the attached machine charges
@@ -10,6 +17,7 @@ raises an EPT-violation event, and the attached machine charges
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Callable, Iterable
 
@@ -17,7 +25,7 @@ PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 
 # Preresolved codecs for the integer helpers: ``unpack_from``/``pack_into``
-# operate on the backing ``bytearray`` directly, with no intermediate
+# operate on the backing mapping directly, with no intermediate
 # ``bytes`` copy per access.
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -35,7 +43,9 @@ class GuestMemory:
         if size <= 0 or size % PAGE_SIZE != 0:
             raise ValueError(f"memory size must be a positive multiple of 4096, got {size}")
         self.size = size
-        self._data = bytearray(size)
+        # Private so the pages are this memory's alone (and zero until
+        # first written); never rebound, so closures may hold it.
+        self._data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self._touched: set[int] = set()
         self._dirty: set[int] = set()
         self._cow_pending: set[int] = set()
@@ -188,7 +198,7 @@ class GuestMemory:
     def read(self, addr: int, length: int) -> bytes:
         """Read ``length`` bytes at guest physical ``addr``."""
         self._check(addr, length)
-        return bytes(self._data[addr : addr + length])
+        return self._data[addr : addr + length]
 
     def write(self, addr: int, data: bytes | bytearray) -> None:
         """Write ``data`` at guest physical ``addr``."""
@@ -197,7 +207,7 @@ class GuestMemory:
         self._data[addr : addr + len(data)] = data
 
     # -- integer helpers -------------------------------------------------------
-    # Reads decode straight out of the backing bytearray; writes pack into
+    # Reads decode straight out of the backing mapping; writes pack into
     # it in place.  No per-access bytes copies, same bounds discipline.
     def read_u8(self, addr: int) -> int:
         if addr < 0 or addr + 1 > self.size:
@@ -290,7 +300,7 @@ class GuestMemory:
         result: dict[int, bytes] = {}
         for page in self._dirty:
             start = page << PAGE_SHIFT
-            result[page] = bytes(self._data[start : start + PAGE_SIZE])
+            result[page] = self._data[start : start + PAGE_SIZE]
         return result
 
     def restore_pages(self, pages: dict[int, bytes]) -> None:
@@ -361,12 +371,12 @@ class GuestMemory:
 
     # -- bulk operations ---------------------------------------------------------
     def fill(self, value: int = 0) -> None:
-        """Clear (or fill) the entire memory.
+        """Clear (or fill) the entire memory, in place on the mapping.
 
         Note: callers are responsible for charging the memset cost; this
         only mutates state.
         """
-        self._data = bytearray([value & 0xFF]) * self.size if value else bytearray(self.size)
+        self._data[:] = bytes([value & 0xFF]) * self.size
         self._dirty.clear()
         self._cow_pending.clear()
         self._quiet.clear()
@@ -388,7 +398,7 @@ class GuestMemory:
 
     def snapshot_bytes(self) -> bytes:
         """Return an immutable copy of the full contents."""
-        return bytes(self._data)
+        return self._data[:]
 
     def load_bytes(self, image: bytes, addr: int = 0) -> None:
         """Load a raw byte image at ``addr`` (host-side copy; dirties
@@ -396,6 +406,14 @@ class GuestMemory:
         self._check(addr, len(image))
         self._mark_dirty(addr, len(image))
         self._data[addr : addr + len(image)] = image
+
+    def release(self) -> None:
+        """Unmap the backing (the VM that owned this memory is gone).
+
+        Idempotent.  Any later access raises -- a released memory never
+        reads back stale or zero bytes.
+        """
+        self._data.close()
 
     def __len__(self) -> int:
         return self.size

@@ -150,6 +150,8 @@ class PartitionHandle:
         """``WHvDeletePartition`` (teardown is off the critical path)."""
         if not self.closed:
             self.hyperv.vms_closed += 1
+            if self.vm is not None:
+                self.vm.memory.release()
         self.closed = True
 
 

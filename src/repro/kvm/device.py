@@ -138,6 +138,8 @@ class VMHandle:
         """Release the VM (host-side teardown is off the critical path)."""
         if not self.closed:
             self.kvm.vms_closed += 1
+            if self.vm is not None:
+                self.vm.memory.release()
         self.closed = True
 
 

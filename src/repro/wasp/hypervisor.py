@@ -473,12 +473,13 @@ class Wasp:
 
         The domain's plain-int stats are monotonic; this folds the growth
         since the previous harvest into telemetry (image-labelled where
-        the stat is per-image).  Runs unconditionally -- with telemetry
-        disabled every ``inc`` is the null-object no-op -- and never reads
-        or advances the clock, so the sim-cost contract holds.
+        the stat is per-image).  Skipped outright with telemetry off:
+        :attr:`telemetry` is fixed at construction, so no delta a later
+        harvest would need is ever lost.  Never reads or advances the
+        clock, so the sim-cost contract holds.
         """
         domain = getattr(self.kvm, "jit_domain", None)
-        if domain is None:
+        if domain is None or self.telemetry is NO_TELEMETRY:
             return
         telemetry = self.telemetry
         seen = self._jit_harvested

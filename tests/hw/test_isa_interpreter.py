@@ -272,3 +272,87 @@ def _lgdt_cost(mode):
     interp.run()
     label = "load 32-bit gdt (lgdt)" if mode is Mode.REAL16 else "long transition (lgdt)"
     return interp.component_cycles[label]
+
+
+def _fresh(source, fast_paths=True):
+    cpu = CPU()
+    clock = Clock()
+    interp = Interpreter(cpu, GuestMemory(1024 * 1024), clock, COSTS,
+                         fast_paths=fast_paths)
+    program = Assembler(0x8000).assemble(source)
+    interp.load_program(program)
+    return cpu, clock, interp, program
+
+
+class TestOnDemandCompile:
+    SKIPPING = "mov ax, 1\njmp over\nmov bx, 2\nmov cx, 3\nover:\nhlt"
+
+    def test_attach_compiles_no_handler(self):
+        _, _, interp, program = _fresh(self.SKIPPING)
+        assert interp._decoded == {}
+        assert set(interp._by_addr) == {i.addr for i in program.instructions}
+
+    @pytest.mark.parametrize("loop", ["step", "run_steps"])
+    def test_only_executed_instructions_get_handlers(self, loop):
+        _, _, interp, program = _fresh(self.SKIPPING)
+        with pytest.raises(HaltExit):
+            if loop == "step":
+                while True:
+                    interp.step()
+            else:
+                interp.run_steps(100)
+        insns = program.instructions
+        executed = {insns[0].addr, insns[1].addr, insns[4].addr}
+        assert set(interp._decoded) == executed
+
+    def test_reattach_reuses_index_and_handlers(self):
+        _, _, interp, program = _fresh(self.SKIPPING)
+        with pytest.raises(HaltExit):
+            interp.run_steps(100)
+        by_addr, decoded = interp._by_addr, interp._decoded
+        interp.cpu.reset()
+        interp.attach_program(program)
+        assert interp._by_addr is by_addr
+        assert interp._decoded is decoded
+
+    def test_reference_path_has_no_handler_map(self):
+        _, _, interp, _ = _fresh(self.SKIPPING, fast_paths=False)
+        assert interp._decoded is None
+        with pytest.raises(HaltExit):
+            interp.run_steps(100)
+        assert interp._decoded is None
+
+
+class TestFetchBetweenInstructions:
+    """An rip inside an instruction is a fetch fault on every path, at the
+    same point and cycle count as the reference interpreter."""
+
+    SOURCE = "mov ax, 5\nmov bx, 6\njmp 0x8001\nhlt"
+
+    def _outcome(self, fast_paths, loop, entry_rip=None):
+        cpu, clock, interp, program = _fresh(self.SOURCE, fast_paths)
+        assert 0x8001 not in interp._by_addr
+        assert program.instructions[1].addr > 0x8001
+        if entry_rip is not None:
+            cpu.rip = entry_rip
+        with pytest.raises(TripleFault, match="unmapped rip 0x8001"):
+            if loop == "step":
+                while True:
+                    interp.step()
+            else:
+                interp.run_steps(100)
+        return (clock.cycles, interp.instructions_retired,
+                interp.last_run_steps, interp._first_instruction_pending,
+                cpu.rip)
+
+    @pytest.mark.parametrize("loop", ["step", "run_steps"])
+    def test_mid_run_fault_matches_reference(self, loop):
+        fast = self._outcome(True, loop)
+        assert fast == self._outcome(False, loop)
+        assert fast[1] == 3 and fast[4] == 0x8001
+
+    @pytest.mark.parametrize("loop", ["step", "run_steps"])
+    def test_entry_fault_precedes_first_instruction_charge(self, loop):
+        fast = self._outcome(True, loop, entry_rip=0x8001)
+        assert fast == self._outcome(False, loop, entry_rip=0x8001)
+        assert fast[0] == 0 and fast[3] is True

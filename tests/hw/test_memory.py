@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.host.backend import DEFAULT_CONTEXT_MEMORY
 from repro.hw.memory import GuestMemory, GuestMemoryError, PAGE_SIZE
 
 
@@ -182,3 +183,80 @@ class TestDirtyTracking:
         snap = mem.snapshot_bytes()
         mem.write(0, b"xyz")
         assert snap[:3] == b"abc"
+
+    def test_fill_and_copy_from_work_in_place(self):
+        """Bulk mutations rewrite the mapping; they never swap in a new
+        backing and leave the old one for the garbage collector."""
+        mem = make()
+        backing = mem._data
+        mem.fill(0xAB)
+        assert mem.read(0, 2) == b"\xab\xab"
+        assert mem.read(mem.size - 1, 1) == b"\xab"
+        mem.fill(0)
+        assert mem.read(0, 2) == bytes(2)
+        src = make()
+        src.write(PAGE_SIZE + 3, b"copied")
+        mem.copy_from(src)
+        assert mem.read(PAGE_SIZE + 3, 6) == b"copied"
+        assert mem._data is backing
+
+
+MiB = 1024 * 1024
+
+#: Every guest-memory size a pool hands out: the VM backends' power-of-two
+#: buckets (4 MiB up) and the software contexts' fixed size.
+BUCKET_SIZES = sorted({DEFAULT_CONTEXT_MEMORY,
+                       *(4 * MiB << shift for shift in range(5))})
+
+
+class TestLazyBacking:
+    @pytest.mark.parametrize("size", BUCKET_SIZES)
+    def test_fresh_memory_reads_zero_at_page_edges(self, size):
+        mem = GuestMemory(size)
+        npages = size // PAGE_SIZE
+        # First, last, and a spread of pages in between.
+        for page in sorted({0, 1, npages // 3, npages // 2, npages - 2,
+                            npages - 1}):
+            start = page * PAGE_SIZE
+            assert mem.read_u8(start) == 0
+            assert mem.read_u8(start + PAGE_SIZE - 1) == 0
+            assert mem.read_u64(start + PAGE_SIZE - 8) == 0
+        mem.release()
+
+
+class TestRelease:
+    @staticmethod
+    def released() -> GuestMemory:
+        mem = make()
+        mem.write(0, b"stale secret")
+        mem.write_u64(PAGE_SIZE, 0x1122334455667788)
+        mem.release()
+        return mem
+
+    @pytest.mark.parametrize("access", [
+        lambda m: m.read(0, 12),
+        lambda m: m.read_u8(0),
+        lambda m: m.read_u16(0),
+        lambda m: m.read_u32(0),
+        lambda m: m.read_u64(PAGE_SIZE),
+        lambda m: m.write(0, b"x"),
+        lambda m: m.write_u8(0, 1),
+        lambda m: m.write_u64(PAGE_SIZE, 1),
+        lambda m: m.load_bytes(b"image", 0),
+        lambda m: m.capture_dirty(),
+        lambda m: m.snapshot_bytes(),
+        lambda m: m.clear_dirty(),
+        lambda m: m.fill(0),
+        lambda m: m.restore_runs([(0, bytes(PAGE_SIZE))], [0]),
+    ])
+    def test_access_after_release_raises(self, access):
+        """A released memory never reads back stale or zero bytes, and
+        never accepts a write: every access raises."""
+        with pytest.raises((ValueError, TypeError)):
+            access(self.released())
+
+    def test_release_is_idempotent(self):
+        mem = self.released()
+        mem.release()
+        with pytest.raises(ValueError):
+            mem.read_u8(0)

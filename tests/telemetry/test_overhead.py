@@ -96,6 +96,27 @@ class TestJitTelemetry:
         assert not off.telemetry.enabled
         assert not off.telemetry.instruments()
 
+    def test_telemetry_off_skips_the_harvest(self):
+        off = self.run_fib(telemetry=False)
+        assert off.kvm.jit_domain.counters["block_runs"] > 0
+        assert off._jit_harvested == {}
+
+    def test_harvested_counters_equal_domain_stats(self):
+        wasp = self.run_fib(telemetry=True)
+        totals: dict[str, int] = {}
+        for inst in wasp.telemetry.instruments():
+            if inst.kind == "counter" and inst.name.startswith("jit_"):
+                totals[inst.name] = totals.get(inst.name, 0) + inst.value
+        domain = wasp.kvm.jit_domain
+        images = [cache.stats() for cache in domain.images()]
+        expected = {f"jit_{name}_total": total
+                    for name, total in domain.counters.items()}
+        expected["jit_side_exits_total"] = sum(domain.side_exits.values())
+        for stat in ("compiles", "invalidations", "warm_hits",
+                     "warm_misses"):
+            expected[f"jit_{stat}_total"] = sum(s[stat] for s in images)
+        assert {k: v for k, v in expected.items() if v} == totals
+
 
 class TestTraceByteEquivalence:
     def test_chrome_trace_bytes_identical(self):

@@ -1,11 +1,15 @@
 """Shell-pool tests: the Figure 6/8 caching behaviour."""
 
+import gc
+
 import pytest
 
+from repro.host.backend import create_host
 from repro.hw.clock import BackgroundAccountant, Clock
 from repro.hw.costs import COSTS
 from repro.kvm.device import KVM
-from repro.wasp.hypervisor import VmBackend
+from repro.runtime.image import ImageBuilder, Mode
+from repro.wasp.hypervisor import VmBackend, Wasp
 from repro.wasp.pool import CleanMode, ShellPool
 
 MEM = 4 * 1024 * 1024
@@ -188,3 +192,44 @@ class TestInformationLeakage:
         pool.release(shell, CleanMode.ASYNC)
         reused = pool.acquire()
         assert reused.vm.memory.read(0x2000, 8) == bytes(8)
+
+
+class TestScratchRelease:
+    """A scratch (``pooled=False``) context's guest memory is unmapped when
+    the launch destroys it, not whenever the cyclic GC runs."""
+
+    @staticmethod
+    def launch_scratch(wasp, image):
+        created = []
+        create = wasp.isolation.create
+
+        def recording_create(memory_size):
+            created.append(create(memory_size))
+            return created[-1]
+
+        wasp.isolation.create = recording_create
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            wasp.launch(image, pooled=False, use_snapshot=False)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(created) == 1
+        return created[0]
+
+    def test_kvm_scratch_vm_memory_released(self):
+        wasp = Wasp()
+        shell = self.launch_scratch(wasp, ImageBuilder().minimal(Mode.LONG64))
+        assert wasp.kvm.vms_created - wasp.kvm.vms_closed == 0
+        assert shell.handle.closed
+        with pytest.raises(ValueError):
+            shell.vm.memory.read_u8(0)
+
+    def test_software_scratch_context_memory_released(self):
+        host = create_host("thread")
+        ctx = self.launch_scratch(
+            host, ImageBuilder().hosted("scratch-job", lambda env: 0))
+        assert ctx.closed
+        with pytest.raises(ValueError):
+            ctx.memory.read_u8(0)
