@@ -20,17 +20,10 @@ _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 _SECTIONS: list[tuple[str, list[str]]] = []
 
 
-def engine_mode(fast_paths: bool = True, jit: bool = True) -> str:
-    """Canonical label for an interpreter engine configuration.
-
-    Every ``BENCH_*.json`` records the mode that produced it so results
-    are self-describing: ``reference`` (plain interpreter), ``fast``
-    (PR 4 fast-path engine, JIT off), or ``fast+jit`` (superblock JIT on
-    top of the fast paths -- the library default).
-    """
-    if not fast_paths:
-        return "reference"
-    return "fast+jit" if jit else "fast"
+#: Engine label every ``BENCH_*.json`` records, so results are
+#: self-describing: the library default (software TLB, bulk memory and
+#: the superblock JIT; ``fast_paths=True``).
+ENGINE_MODE = "fast+jit"
 
 
 class ExperimentReport:
@@ -51,9 +44,8 @@ class ExperimentReport:
         self.owns_results_file = False
         #: Engine configuration the module measured under, recorded in
         #: its results file.  Defaults to the library default; modules
-        #: that pin a different configuration (or sweep several) set it
-        #: via :func:`engine_mode` or to an explicit label.
-        self.engine_mode = engine_mode()
+        #: that sweep several configurations set an explicit label.
+        self.engine_mode = ENGINE_MODE
 
     def line(self, text: str) -> None:
         self.lines.append(text)
@@ -80,7 +72,7 @@ class HostTimer:
     """Wall-clock timing helpers shared by host-throughput benchmarks.
 
     Host time is the one quantity in this suite that is *not* on the
-    virtual clock, so it is noisy; ``best_of`` takes the minimum over
+    virtual clock, so it is noisy; callers take the minimum over
     repeats, the standard estimator for "how fast can this go".
     """
 
@@ -90,17 +82,6 @@ class HostTimer:
         start = time.perf_counter()
         result = fn()
         return result, time.perf_counter() - start
-
-    @staticmethod
-    def best_of(fn, repeats: int = 3):
-        """Run ``fn()`` ``repeats`` times; return ``(last_result, best_seconds)``."""
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            result, elapsed = HostTimer.measure(fn)
-            if elapsed < best:
-                best = elapsed
-        return result, best
 
 
 @pytest.fixture(scope="module")

@@ -237,9 +237,9 @@ class CPU:
     def load_state(self, state: dict) -> None:
         """Restore architectural state captured by :meth:`save_state`.
 
-        ``regs`` is updated in place: the interpreter's predecoded
-        handlers bind the register file once, so the dict object must
-        stay the same for the CPU's lifetime.
+        ``regs`` is updated in place: compiled superblocks bind the
+        register file once, so the dict object must stay the same for
+        the CPU's lifetime.
         """
         self.regs.clear()
         self.regs.update(state["regs"])

@@ -339,8 +339,8 @@ class TripleFault(GuestExit):
 # Interpreter
 # --------------------------------------------------------------------------
 
-#: ALU semantics, looked up once per instruction (or once at predecode);
-#: only the selected operation is ever evaluated.
+#: ALU semantics, looked up once per instruction; only the selected
+#: operation is ever evaluated.
 _ALU_OPS: dict[str, Callable[[int, int], int]] = {
     "add": lambda lhs, rhs: lhs + rhs,
     "sub": lambda lhs, rhs: lhs - rhs,
@@ -373,16 +373,21 @@ class Interpreter:
     costs are additionally tallied into :attr:`component_cycles` keyed by
     the Table 1 row names, which is how the boot-breakdown benchmark
     recovers the per-component numbers.
+
+    Two engines share one instruction semantics, :meth:`_dispatch`.
+    ``fast_paths=False`` is the reference oracle: one :meth:`step` per
+    instruction, every address walked through the page tables.
+    ``fast_paths=True`` adds the software TLB, the bulk-memory paths and
+    the superblock JIT (DESIGN.md SS15); instructions outside compiled
+    blocks still go through :meth:`_dispatch`.  Simulated cycles are
+    identical either way.
     """
 
     STACK_WIDTH = {Mode.REAL16: 2, Mode.PROT32: 4, Mode.LONG64: 8}
 
-    #: Per-program decode entries kept (LRU): the address index plus the
-    #: handlers compiled so far.  Shells re-attach the same ``Program``
-    #: on every snapshot restore and pool reuse, so each executed
-    #: instruction's handler is compiled once per image per interpreter,
-    #: not once per launch -- and instructions never dispatched
-    #: (superblocks run nearly all of them) are never compiled.
+    #: Per-program address indexes kept (LRU).  Shells re-attach the same
+    #: ``Program`` on every snapshot restore and pool reuse, so the index
+    #: is built once per image per interpreter, not once per launch.
     DECODE_CACHE_PROGRAMS = 8
 
     def __init__(
@@ -394,7 +399,6 @@ class Interpreter:
         tracer: Tracer | None = None,
         *,
         fast_paths: bool = True,
-        jit: bool = True,
         jit_domain: JitDomain | None = None,
     ) -> None:
         self.cpu = cpu
@@ -403,17 +407,14 @@ class Interpreter:
         self.costs = costs
         #: Cycle tracer (disabled by default; never charges cycles).
         self.tracer = tracer if tracer is not None else NO_TRACE
-        #: Escape hatch: ``False`` disables the software TLB and the
-        #: predecoded dispatch, reverting to the reference interpretation
+        #: The engine switch: ``False`` disables the software TLB and the
+        #: superblock JIT, reverting to the reference interpretation
         #: path.  Simulated cycles are identical either way (the
         #: golden-equivalence test enforces this).
         self.fast_paths = fast_paths
         self.program: Program | None = None
         self._by_addr: dict[int, Instr] = {}
-        #: rip -> compiled handler, filled on first dispatch; ``None`` on
-        #: the reference path (``fast_paths=False``).
-        self._decoded: dict[int, Callable[[], None]] | None = None
-        self._decode_cache: "OrderedDict[int, tuple[Program, dict, dict]]" = OrderedDict()
+        self._decode_cache: "OrderedDict[int, tuple[Program, dict]]" = OrderedDict()
         self.instructions_retired = 0
         self.component_cycles: dict[str, int] = {}
         #: Optional component-charge observer ``(name, cycles) -> None``
@@ -442,16 +443,14 @@ class Interpreter:
         #: Instructions completed before the exception in the last
         #: :meth:`run_steps` call (exact step-budget accounting for the VM).
         self.last_run_steps = 0
-        #: Superblock JIT (DESIGN.md SS15): only meaningful on the fast
-        #: path -- the reference path is the thing the JIT is verified
-        #: against, so ``fast_paths=False`` disables both.
+        #: Whether the superblock JIT runs: part of the fast path -- the
+        #: reference path is the thing the JIT is verified against.
         # Generated superblocks advance the clock by mutating
         # ``clock._cycles`` directly (no bound-method call per flush),
         # which is only equivalent while ``advance`` is the base class's
         # pure accumulator -- a subclass that overrides it (observing or
         # transforming advances) silently falls back to the interpreter.
-        self.jit = (bool(jit) and fast_paths
-                    and type(clock).advance is Clock.advance)
+        self.jit = fast_paths and type(clock).advance is Clock.advance
         self._jit_domain: JitDomain | None = None
         self._jit_cache = None
         self._jit_blocks: dict[int, object] = {}
@@ -485,8 +484,7 @@ class Interpreter:
     def attach_program(self, program: Program, reset_rip: bool = True) -> None:
         """Attach ``program`` without rewriting memory (snapshot resume)."""
         self.program = program
-        self._by_addr, decoded = self._predecode(program)
-        self._decoded = decoded if self.fast_paths else None
+        self._by_addr = self._predecode(program)
         if self.jit:
             # Bind the per-image compiled-block cache (content-hash keyed,
             # shared across every shell of the image in this domain):
@@ -698,625 +696,24 @@ class Interpreter:
         sign_bit = (mask + 1) >> 1
         return value - (mask + 1) if value & sign_bit else value
 
-    # -- predecode (fast-path dispatch) --------------------------------------------
-    def _predecode(self, program: Program
-                   ) -> tuple[dict[int, Instr], dict[int, Callable[[], None]]]:
-        """The program's address index and its (lazily filled) handler map.
+    # -- predecode -------------------------------------------------------------------
+    def _predecode(self, program: Program) -> dict[int, Instr]:
+        """The program's rip -> instruction index.
 
         Keyed by program object identity: shells re-attach the same
         ``Program`` on every snapshot restore and pool reuse, so the
-        index is built once per image and every handler compiled on an
-        earlier launch is reused.  Handlers are compiled one at a time by
-        :meth:`_handler_at` on their first dispatch.
+        index is built once per image.
         """
         key = id(program)
         cached = self._decode_cache.get(key)
         if cached is not None and cached[0] is program:
             self._decode_cache.move_to_end(key)
-            return cached[1], cached[2]
+            return cached[1]
         by_addr = {insn.addr: insn for insn in program.instructions}
-        decoded: dict[int, Callable[[], None]] = {}
-        self._decode_cache[key] = (program, by_addr, decoded)
+        self._decode_cache[key] = (program, by_addr)
         while len(self._decode_cache) > self.DECODE_CACHE_PROGRAMS:
             self._decode_cache.popitem(last=False)
-        return by_addr, decoded
-
-    def _handler_at(self, rip: int) -> Callable[[], None] | None:
-        """Compile (and keep) the handler of the instruction at ``rip``;
-        ``None`` when no instruction starts there (a fetch fault)."""
-        insn = self._by_addr.get(rip)
-        if insn is None:
-            return None
-        handler = self._decoded[rip] = self._compile(insn)
-        return handler
-
-    def _compile_read(self, operand: Operand) -> Callable[[], int]:
-        """Resolve one operand to a zero-argument reader closure.
-
-        Charges and masking match ``_read_operand`` exactly; the operand
-        type test and name lookups happen here, once, instead of per step.
-        """
-        cpu = self.cpu
-        if type(operand) is Reg:
-            name = operand.name
-            regs = cpu.regs  # stable: load_state updates it in place
-            return lambda: regs[name] & cpu.mask
-        if type(operand) is CtrlReg:
-            name = operand.name
-            read_cr = cpu.read_cr
-            return lambda: read_cr(name)
-        if type(operand) is Imm:
-            value = operand.value
-            return lambda: value & cpu.mask
-        clock = self.clock
-        mem_charge = self.costs.INSN_MEM
-        load = self._load
-        disp = operand.disp
-        if operand.base is None:
-            addr = disp & 0xFFFFFFFFFFFFFFFF
-
-            def read_mem_abs() -> int:
-                clock.advance(mem_charge)
-                return load(addr, cpu.nbytes)
-
-            return read_mem_abs
-        base = operand.base
-        regs = cpu.regs
-
-        def read_mem() -> int:
-            clock.advance(mem_charge)
-            return load(((regs[base] & cpu.mask) + disp) & 0xFFFFFFFFFFFFFFFF,
-                        cpu.nbytes)
-
-        return read_mem
-
-    def _compile_write(self, operand: Operand) -> Callable[[int], None]:
-        """Resolve one operand to a single-argument writer closure."""
-        cpu = self.cpu
-        if type(operand) is Reg:
-            name = operand.name
-            regs = cpu.regs
-
-            def write_reg(value: int) -> None:
-                regs[name] = value & cpu.mask
-
-            return write_reg
-        if type(operand) is CtrlReg:
-            name = operand.name
-            write_ctrl = self._write_ctrl
-            return lambda value: write_ctrl(name, value)
-        if type(operand) is Imm:
-            def write_imm(value: int) -> None:
-                raise ExecutionError("cannot write to an immediate")
-
-            return write_imm
-        clock = self.clock
-        charge = self.costs.INSN_MEM + self.costs.STORE8
-        store = self._store
-        disp = operand.disp
-        if operand.base is None:
-            addr = disp & 0xFFFFFFFFFFFFFFFF
-
-            def write_mem_abs(value: int) -> None:
-                clock.advance(charge)
-                store(addr, value & cpu.mask, cpu.nbytes)
-
-            return write_mem_abs
-        base = operand.base
-        regs = cpu.regs
-
-        def write_mem(value: int) -> None:
-            clock.advance(charge)
-            store(((regs[base] & cpu.mask) + disp) & 0xFFFFFFFFFFFFFFFF,
-                  value & cpu.mask, cpu.nbytes)
-
-        return write_mem
-
-    def _compile(self, insn: Instr) -> Callable[[], None]:
-        """Specialize one instruction into a handler closure.
-
-        Every handler first sets RIP to the fall-through address (control
-        flow then overwrites it) and charges ``INSN_BASE`` itself -- merged
-        into its first fixed charge, so the run loop pays one ``advance``
-        per instruction instead of two.  No trace or component event can
-        fire between the merged charges, so cumulative cycles at every
-        observable point match ``_dispatch`` exactly.
-        """
-        op = insn.op
-        ops = insn.operands
-        cpu = self.cpu
-        costs = self.costs
-        advance = self.clock.advance
-        base = costs.INSN_BASE
-        next_rip = insn.addr + insn.size
-
-        if op == "nop":
-            def h_nop() -> None:
-                cpu.rip = next_rip
-                advance(base)
-
-            return h_nop
-        if op == "mov":
-            # Reg <- Reg/Imm moves (the bulk of any instruction stream)
-            # collapse to a single dict store; charges are just INSN_BASE
-            # either way, so the specialization is cycle-invisible.
-            if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-                regs = cpu.regs
-                dname = ops[0].name
-                if type(ops[1]) is Imm:
-                    const = ops[1].value
-
-                    def h_mov_ri() -> None:
-                        cpu.rip = next_rip
-                        advance(base)
-                        regs[dname] = const & cpu.mask
-
-                    return h_mov_ri
-                sname = ops[1].name
-
-                def h_mov_rr() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    regs[dname] = regs[sname] & cpu.mask
-
-                return h_mov_rr
-            write = self._compile_write(ops[0])
-            read = self._compile_read(ops[1])
-
-            def h_mov() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                write(read())
-
-            return h_mov
-        alu = _ALU_OPS.get(op)
-        if alu is not None:
-            if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-                regs = cpu.regs
-                dname = ops[0].name
-                if type(ops[1]) is Imm:
-                    const = ops[1].value
-
-                    def h_alu_ri() -> None:
-                        cpu.rip = next_rip
-                        advance(base)
-                        mask = cpu.mask
-                        result = alu(regs[dname] & mask, const & mask)
-                        cpu.flags.set_from_result(result, mask)
-                        regs[dname] = result & mask
-
-                    return h_alu_ri
-                sname = ops[1].name
-
-                def h_alu_rr() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    mask = cpu.mask
-                    result = alu(regs[dname] & mask, regs[sname] & mask)
-                    cpu.flags.set_from_result(result, mask)
-                    regs[dname] = result & mask
-
-                return h_alu_rr
-            read_dst = self._compile_read(ops[0])
-            read_src = self._compile_read(ops[1])
-            write_dst = self._compile_write(ops[0])
-
-            def h_alu() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                result = alu(read_dst(), read_src())
-                cpu.flags.set_from_result(result, cpu.mask)
-                write_dst(result & cpu.mask)
-
-            return h_alu
-        if op in ("inc", "dec"):
-            delta = 1 if op == "inc" else -1
-            if type(ops[0]) is Reg:
-                regs = cpu.regs
-                rname = ops[0].name
-
-                def h_step_r() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    mask = cpu.mask
-                    result = (regs[rname] & mask) + delta
-                    cpu.flags.set_from_result(result, mask)
-                    regs[rname] = result & mask
-
-                return h_step_r
-            read = self._compile_read(ops[0])
-            write = self._compile_write(ops[0])
-
-            def h_step() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                result = read() + delta
-                cpu.flags.set_from_result(result, cpu.mask)
-                write(result & cpu.mask)
-
-            return h_step
-        if op == "cmp":
-            # Reg vs Reg/Imm comparisons inline the signed interpretation
-            # (_signed) as well; flag results are bit-identical.
-            if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-                regs = cpu.regs
-                lname = ops[0].name
-                if type(ops[1]) is Imm:
-                    const = ops[1].value
-
-                    def h_cmp_ri() -> None:
-                        cpu.rip = next_rip
-                        advance(base)
-                        mask = cpu.mask
-                        lhs = regs[lname] & mask
-                        rhs = const & mask
-                        cpu.flags.set_from_result(lhs - rhs, mask)
-                        half = (mask + 1) >> 1
-                        slhs = lhs - mask - 1 if lhs & half else lhs
-                        srhs = rhs - mask - 1 if rhs & half else rhs
-                        cpu.flags.sign = slhs - srhs < 0
-
-                    return h_cmp_ri
-                rname = ops[1].name
-
-                def h_cmp_rr() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    mask = cpu.mask
-                    lhs = regs[lname] & mask
-                    rhs = regs[rname] & mask
-                    cpu.flags.set_from_result(lhs - rhs, mask)
-                    half = (mask + 1) >> 1
-                    slhs = lhs - mask - 1 if lhs & half else lhs
-                    srhs = rhs - mask - 1 if rhs & half else rhs
-                    cpu.flags.sign = slhs - srhs < 0
-
-                return h_cmp_rr
-            read_lhs = self._compile_read(ops[0])
-            read_rhs = self._compile_read(ops[1])
-            signed = self._signed
-
-            def h_cmp() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                lhs = read_lhs()
-                rhs = read_rhs()
-                cpu.flags.set_from_result(lhs - rhs, cpu.mask)
-                cpu.flags.sign = signed(lhs) - signed(rhs) < 0
-
-            return h_cmp
-        if op == "test":
-            read_lhs = self._compile_read(ops[0])
-            read_rhs = self._compile_read(ops[1])
-
-            def h_test() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.flags.set_from_result(read_lhs() & read_rhs(), cpu.mask)
-
-            return h_test
-        if op == "jmp":
-            if type(ops[0]) is Imm:
-                tconst = ops[0].value
-
-                def h_jmp_c() -> None:
-                    advance(base)
-                    cpu.rip = tconst & cpu.mask
-
-                return h_jmp_c
-            read = self._compile_read(ops[0])
-
-            def h_jmp() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.rip = read()
-
-            return h_jmp
-        jcc = _JCC.get(op)
-        if jcc is not None:
-            if type(ops[0]) is Imm:
-                tconst = ops[0].value
-
-                def h_jcc_c() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    if jcc(cpu.flags):
-                        cpu.rip = tconst & cpu.mask
-
-                return h_jcc_c
-            read = self._compile_read(ops[0])
-
-            def h_jcc() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                if jcc(cpu.flags):
-                    cpu.rip = read()
-
-            return h_jcc
-        # The stack ops inline _push/_pop with the width taken from
-        # cpu.nbytes (== STACK_WIDTH[mode]: 2/4/8), masking unchanged.
-        if op == "call":
-            read = self._compile_read(ops[0])
-            store = self._store
-            regs = cpu.regs
-            if type(ops[0]) is MemRef:
-                # A memory target charges (and can fault) during read(),
-                # so the push charge must stay on its own side of it.
-                pre = base + costs.INSN_CALL
-                post = costs.INSN_MEM + costs.STORE8
-
-                def h_call_mem() -> None:
-                    cpu.rip = next_rip
-                    advance(pre)
-                    target = read()
-                    advance(post)
-                    mask = cpu.mask
-                    width = cpu.nbytes
-                    sp = ((regs["sp"] & mask) - width) & mask
-                    regs["sp"] = sp
-                    store(sp, next_rip & mask, width)
-                    cpu.rip = target
-
-                return h_call_mem
-            charge = base + costs.INSN_CALL + costs.INSN_MEM + costs.STORE8
-            if type(ops[0]) is Imm:
-                tconst = ops[0].value
-
-                def h_call_c() -> None:
-                    cpu.rip = next_rip
-                    advance(charge)
-                    mask = cpu.mask
-                    width = cpu.nbytes
-                    sp = ((regs["sp"] & mask) - width) & mask
-                    regs["sp"] = sp
-                    store(sp, next_rip & mask, width)
-                    cpu.rip = tconst & mask
-
-                return h_call_c
-
-            def h_call() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                target = read()
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = ((regs["sp"] & mask) - width) & mask
-                regs["sp"] = sp
-                store(sp, next_rip & mask, width)
-                cpu.rip = target
-
-            return h_call
-        if op == "ret":
-            load = self._load
-            regs = cpu.regs
-            charge = base + costs.INSN_CALL + costs.INSN_MEM
-
-            def h_ret() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = regs["sp"] & mask
-                value = load(sp, width)
-                regs["sp"] = (sp + width) & mask
-                cpu.rip = value
-
-            return h_ret
-        if op == "push":
-            read = self._compile_read(ops[0])
-            store = self._store
-            regs = cpu.regs
-            if type(ops[0]) is MemRef:
-                # As with call: the source read charges (and can fault),
-                # so only INSN_BASE may be hoisted ahead of it.
-                push_charge = costs.INSN_MEM + costs.STORE8
-
-                def h_push_mem() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    value = read()
-                    advance(push_charge)
-                    mask = cpu.mask
-                    width = cpu.nbytes
-                    sp = ((regs["sp"] & mask) - width) & mask
-                    regs["sp"] = sp
-                    store(sp, value & mask, width)
-
-                return h_push_mem
-            charge = base + costs.INSN_MEM + costs.STORE8
-            if type(ops[0]) is Reg:
-                sname = ops[0].name
-
-                def h_push_r() -> None:
-                    cpu.rip = next_rip
-                    advance(charge)
-                    mask = cpu.mask
-                    width = cpu.nbytes
-                    sp = ((regs["sp"] & mask) - width) & mask
-                    regs["sp"] = sp
-                    store(sp, regs[sname] & mask, width)
-
-                return h_push_r
-
-            def h_push() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                value = read()
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = ((regs["sp"] & mask) - width) & mask
-                regs["sp"] = sp
-                store(sp, value & mask, width)
-
-            return h_push
-        if op == "pop":
-            if not isinstance(ops[0], Reg):
-                def h_pop_bad() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    raise ExecutionError("pop requires a register operand")
-
-                return h_pop_bad
-            name = ops[0].name
-            load = self._load
-            regs = cpu.regs
-            charge = base + costs.INSN_MEM
-
-            def h_pop() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = regs["sp"] & mask
-                value = load(sp, width)
-                regs["sp"] = (sp + width) & mask
-                regs[name] = value & mask
-
-            return h_pop
-        if op == "hlt":
-            def h_hlt() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.halted = True
-                raise HaltExit()
-
-            return h_hlt
-        if op == "out":
-            read_port = self._compile_read(ops[0])
-            read_value = self._compile_read(ops[1])
-
-            def h_out() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                raise IOOutExit(port=read_port(), value=read_value())
-
-            return h_out
-        if op == "in":
-            if not isinstance(ops[0], Reg):
-                def h_in_bad() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    raise ExecutionError("in requires a register destination")
-
-                return h_in_bad
-            dest = ops[0].name
-            read_port = self._compile_read(ops[1])
-
-            def h_in() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                raise IOInExit(port=read_port(), dest=dest)
-
-            return h_in
-        if op == "cli":
-            def h_cli() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.flags.interrupts = False
-
-            return h_cli
-        if op == "sti":
-            def h_sti() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.flags.interrupts = True
-
-            return h_sti
-        if op == "lgdt":
-            read = self._compile_read(ops[0])
-            charge = self._charge_component
-            lgdt_real = costs.LGDT_REAL
-            lgdt_prot = costs.LGDT_PROTECTED
-
-            def h_lgdt() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                gdt_base = read()
-                if cpu.mode is Mode.REAL16:
-                    charge("load 32-bit gdt (lgdt)", lgdt_real)
-                else:
-                    charge("long transition (lgdt)", lgdt_prot)
-                gdtr = cpu.gdtr
-                gdtr.base = gdt_base
-                gdtr.limit = 0xFFFF
-                gdtr.loaded = True
-
-            return h_lgdt
-        if op == "ljmp":
-            read_bits = self._compile_read(ops[0])
-            target = ops[1]
-            # ljmp takes the raw Imm target (no mode masking) like _dispatch.
-            const_target = target.value if isinstance(target, Imm) else None
-            read_target = (None if isinstance(target, Imm)
-                           else self._compile_read(target))
-            charge = self._charge_component
-            tracer = self.tracer
-
-            def h_ljmp() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                bits = read_bits()
-                addr = const_target if read_target is None else read_target()
-                if bits == 32:
-                    charge("jump to 32-bit (ljmp)", costs.LJMP_TO_32)
-                    cpu.far_jump(Mode.PROT32, addr)
-                    tracer.instant("cpu.mode:PROT32", Category.BOOT)
-                elif bits == 64:
-                    charge("jump to 64-bit (ljmp)", costs.LJMP_TO_64)
-                    cpu.far_jump(Mode.LONG64, addr)
-                    tracer.instant("cpu.mode:LONG64", Category.BOOT)
-                else:
-                    raise ExecutionError(f"ljmp to unsupported width {bits}")
-
-            return h_ljmp
-        if op == "wrmsr":
-            regs = cpu.regs
-            flush = self.tlb_flush
-            charge = base + costs.CR_WRITE
-
-            def h_wrmsr() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                msr = (regs["cx"] & cpu.mask if cpu.mode is not Mode.REAL16
-                       else regs["cx"])
-                value = (regs["dx"] << 32) | (regs["ax"] & 0xFFFFFFFF)
-                cpu.wrmsr(msr if msr else MSR_EFER, value)
-                flush()
-
-            return h_wrmsr
-        if op == "rdmsr":
-            regs = cpu.regs
-            charge = base + costs.CR_WRITE
-
-            def h_rdmsr() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                msr = regs["cx"] or MSR_EFER
-                value = cpu.rdmsr(msr)
-                regs["ax"] = value & 0xFFFFFFFF
-                regs["dx"] = value >> 32
-
-            return h_rdmsr
-        if op == "stos64":
-            store = self._store
-            regs = cpu.regs
-            charge = base + costs.INSN_MEM + costs.STORE8
-
-            def h_stos64() -> None:
-                cpu.rip = next_rip
-                di = regs["di"] & cpu.mask
-                advance(charge)
-                store(di, regs["ax"], 8)
-                regs["di"] = (di + 8) & cpu.mask
-
-            return h_stos64
-
-        def h_unknown() -> None:  # pragma: no cover - assembler validates ops
-            cpu.rip = next_rip
-            advance(base)
-            raise ExecutionError(f"unimplemented op {op!r}")
-
-        return h_unknown
+        return by_addr
 
     # -- execution --------------------------------------------------------------------
     def step(self) -> None:
@@ -1326,23 +723,6 @@ class Interpreter:
         cpu = self.cpu
         if cpu.halted:
             raise HaltExit()
-        if self._trace is None and self._decoded is not None:
-            # Fast path: the handler closure carries the operand accessors
-            # and the fall-through RIP, and charges INSN_BASE itself;
-            # charges are identical to _dispatch.
-            handler = self._decoded.get(cpu.rip)
-            if handler is None:
-                handler = self._handler_at(cpu.rip)
-            if handler is None:
-                raise TripleFault(
-                    f"instruction fetch from unmapped rip {cpu.rip:#x}")
-            if self._first_instruction_pending:
-                self._first_instruction_pending = False
-                self._charge_component("first instruction",
-                                       self.costs.FIRST_INSTRUCTION)
-            self.instructions_retired += 1
-            handler()
-            return
         insn = self._by_addr.get(cpu.rip)
         if insn is None:
             raise TripleFault(f"instruction fetch from unmapped rip {cpu.rip:#x}")
@@ -1501,9 +881,10 @@ class Interpreter:
         if budget <= 0:
             self.last_run_steps = 0
             return 0
-        if self._trace is not None or self._decoded is None:
-            # Reference path: per-step dispatch keeps step()'s semantics
-            # (and the debug ring buffer) intact.
+        cache = self._jit_cache
+        if self._trace is not None or cache is None:
+            # Reference path (also the debug ring buffer and JIT-ineligible
+            # clocks): per-step dispatch keeps step()'s semantics intact.
             completed = 0
             self.last_run_steps = 0
             while completed < budget:
@@ -1526,122 +907,101 @@ class Interpreter:
             self._first_instruction_pending = False
             self._charge_component("first instruction",
                                    self.costs.FIRST_INSTRUCTION)
-        decoded_get = self._decoded.get
-        handler_at = self._handler_at
+        # Superblock dispatch (DESIGN.md SS15): compiled blocks run when
+        # their entry guards hold (mode/paging unchanged since compile,
+        # remaining budget covers the block); otherwise the reference
+        # _dispatch runs this one instruction, charged and retired as in
+        # step().  Every PC dispatched outside a block is profiled;
+        # crossing the hotness threshold triggers compilation inline.
+        by_addr_get = self._by_addr.get
+        dispatch = self._dispatch
+        advance = self.clock.advance
+        insn_base = self.costs.INSN_BASE
+        blocks_get = self._jit_blocks.get
+        counts = self._jit_counts
+        domain = self._jit_domain
+        dom_counters = domain.counters
+        exits = self._jit_exits
+        threshold = domain.threshold
+        blacklist = cache.blacklist
         executed = 0
         fetch_fault = False
-        cache = self._jit_cache
-        if cache is not None:
-            # Superblock dispatch (DESIGN.md SS15): compiled blocks run
-            # when their entry guards hold (mode/paging unchanged since
-            # compile, remaining budget covers the block); otherwise the
-            # per-instruction handler path below takes over for this
-            # step.  Cold PCs are profiled; crossing the hotness
-            # threshold triggers compilation inline.
-            blocks_get = self._jit_blocks.get
-            counts = self._jit_counts
-            domain = self._jit_domain
-            dom_counters = domain.counters
-            exits = self._jit_exits
-            threshold = domain.threshold
-            blacklist = cache.blacklist
-            self._sb_steps = -1
-            # Mode guards hoisted out of the dispatch loop: only the
-            # excluded (per-instruction) ops can change mode or paging,
-            # so they are recomputed after each handler() call only.
-            mask = cpu.mask
-            paging = cpu.cr0 & CR0_PG != 0
-            runs = 0
-            insns = 0
-            try:
-                while executed < budget:
-                    rip = cpu.rip
-                    entry = blocks_get(rip)
-                    if entry is not None:
-                        fn, length, bmask, bpaging, seg = entry
-                        if bmask == mask and bpaging == paging:
-                            left = budget - executed
-                            if left >= length:
-                                ran = fn(self, left, seg)
-                                executed += ran
-                                runs += 1
-                                insns += ran
-                                continue
-                            exits["budget_guard"] += 1
+        self._sb_steps = -1
+        # Mode guards hoisted out of the dispatch loop: only the
+        # excluded (per-instruction) ops can change mode or paging, so
+        # they are recomputed after each fallback instruction only.
+        mask = cpu.mask
+        paging = cpu.cr0 & CR0_PG != 0
+        runs = 0
+        insns = 0
+        try:
+            while executed < budget:
+                rip = cpu.rip
+                entry = blocks_get(rip)
+                if entry is not None:
+                    fn, length, bmask, bpaging, seg = entry
+                    if bmask == mask and bpaging == paging:
+                        left = budget - executed
+                        if left >= length:
+                            ran = fn(self, left, seg)
+                            executed += ran
+                            runs += 1
+                            insns += ran
+                            continue
+                        exits["budget_guard"] += 1
+                    else:
+                        exits["mode_guard"] += 1
+                else:
+                    count = counts.get(rip, 0) + 1
+                    counts[rip] = count
+                    if count == threshold and rip not in blacklist:
+                        blks = compile_block(self, rip)
+                        if blks is None:
+                            blacklist.add(rip)
                         else:
-                            exits["mode_guard"] += 1
-                    else:
-                        count = counts.get(rip, 0) + 1
-                        counts[rip] = count
-                        if count == threshold and rip not in blacklist:
-                            blks = compile_block(self, rip)
-                            if blks is None:
-                                blacklist.add(rip)
-                            else:
-                                for blk in blks:
-                                    cache.register(blk)
-                                self.memory.watch_code_pages(blks[0].pages)
-                                continue  # dispatch it on this same rip
-                    handler = decoded_get(rip)
-                    if handler is None:
-                        handler = handler_at(rip)
-                        if handler is None:
-                            fetch_fault = True
-                            break
-                    executed += 1
-                    handler()
-                    mask = cpu.mask
-                    paging = cpu.cr0 & CR0_PG != 0
-            except BaseException as exc:
-                steps = self._sb_steps
-                if steps >= 0:
-                    # The exception left a superblock mid-flight: fold in
-                    # the instructions it completed, plus the raising one
-                    # (accounted exactly like the handler path below), and
-                    # count the dispatch itself -- a block whose trace
-                    # ends in hlt/out always exits by raising.
-                    executed += steps + 1
-                    runs += 1
-                    insns += steps + 1
-                    self._sb_steps = -1
-                    if isinstance(exc, HaltExit):
-                        exits["halt"] += 1
-                    elif isinstance(exc, (IOOutExit, IOInExit)):
-                        exits["io"] += 1
-                    else:
-                        exits["fault"] += 1
-                if runs:
-                    dom_counters["block_runs"] += runs
-                    dom_counters["block_instructions"] += insns
-                self.instructions_retired += executed
-                self.last_run_steps = executed - 1
-                raise
+                            for blk in blks:
+                                cache.register(blk)
+                            self.memory.watch_code_pages(blks[0].pages)
+                            continue  # dispatch it on this same rip
+                insn = by_addr_get(rip)
+                if insn is None:
+                    fetch_fault = True
+                    break
+                executed += 1
+                advance(insn_base)
+                cpu.rip = rip + insn.size  # may be overwritten by control flow
+                dispatch(insn)
+                mask = cpu.mask
+                paging = cpu.cr0 & CR0_PG != 0
+        except BaseException as exc:
+            steps = self._sb_steps
+            if steps >= 0:
+                # The exception left a superblock mid-flight: fold in the
+                # instructions it completed, plus the raising one
+                # (accounted exactly like the fallback path), and count
+                # the dispatch itself -- a block whose trace ends in
+                # hlt/out always exits by raising.
+                executed += steps + 1
+                runs += 1
+                insns += steps + 1
+                self._sb_steps = -1
+                if isinstance(exc, HaltExit):
+                    exits["halt"] += 1
+                elif isinstance(exc, (IOOutExit, IOInExit)):
+                    exits["io"] += 1
+                else:
+                    exits["fault"] += 1
             if runs:
                 dom_counters["block_runs"] += runs
                 dom_counters["block_instructions"] += insns
-            self.instructions_retired += executed
-            self.last_run_steps = executed
-            if fetch_fault:
-                raise TripleFault(
-                    f"instruction fetch from unmapped rip {cpu.rip:#x}")
-            return executed
-        try:
-            while executed < budget:
-                handler = decoded_get(cpu.rip)
-                if handler is None:
-                    handler = handler_at(cpu.rip)
-                    if handler is None:
-                        fetch_fault = True
-                        break
-                executed += 1
-                handler()
-        except BaseException:
             # The raising instruction retired but does not count toward
-            # the VM's step budget (mirrors the per-step loop this
-            # replaces, where step() raised before the budget increment).
+            # the VM's step budget (step() raises before the increment).
             self.instructions_retired += executed
             self.last_run_steps = executed - 1
             raise
+        if runs:
+            dom_counters["block_runs"] += runs
+            dom_counters["block_instructions"] += insns
         self.instructions_retired += executed
         self.last_run_steps = executed
         if fetch_fault:

@@ -1,7 +1,7 @@
 """Trace-driven superblock JIT for the fast-path engine.
 
-The predecoded dispatch loop (DESIGN.md SS10) still pays one Python
-closure call, one dict lookup, and one ``clock.advance`` per guest
+The reference interpreter (DESIGN.md SS10) pays an operand-type
+dispatch, several method calls and one ``clock.advance`` per guest
 instruction.  This module escapes that interpretive dispatch: the run
 loop profiles per-PC execution counts, and when a PC crosses the
 hotness threshold the instructions reachable from it along the
@@ -40,7 +40,6 @@ enforce it.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
@@ -235,10 +234,7 @@ class JitDomain:
 
     MAX_IMAGES = 16
 
-    def __init__(self, threshold: int | None = None) -> None:
-        if threshold is None:
-            threshold = int(os.environ.get("REPRO_JIT_THRESHOLD",
-                                           DEFAULT_THRESHOLD))
+    def __init__(self, threshold: int = DEFAULT_THRESHOLD) -> None:
         self.threshold = max(1, threshold)
         self._images: "OrderedDict[tuple, ImageBlockCache]" = OrderedDict()
         self._digests: dict[int, tuple] = {}

@@ -85,7 +85,6 @@ class VirtualMachine:
         tracer: Tracer | None = None,
         fast_paths: bool = True,
         recorder: InterfaceRecorder | None = None,
-        jit: bool = True,
         jit_domain=None,
     ) -> None:
         self.clock = clock
@@ -95,10 +94,10 @@ class VirtualMachine:
         #: Boundary-stream recorder (disabled by default; records nothing).
         self.recorder = recorder if recorder is not None else NO_RECORD
         self.fast_paths = fast_paths
-        #: Superblock JIT controls, consumed by :meth:`_make_interpreter`
-        #: (attributes, not parameters, so the replay substrate's
-        #: interpreter-free override keeps its signature).
-        self.jit = jit
+        #: The device's superblock-JIT domain, consumed by
+        #: :meth:`_make_interpreter` (an attribute, not a parameter, so
+        #: the replay substrate's interpreter-free override keeps its
+        #: signature).
         self.jit_domain = jit_domain
         self.cpu = CPU()
         self.memory = self._make_memory(memory_size)
@@ -121,7 +120,7 @@ class VirtualMachine:
     def _make_interpreter(self, fast_paths: bool) -> Interpreter:
         return Interpreter(self.cpu, self.memory, self.clock, self.costs,
                            tracer=self.tracer, fast_paths=fast_paths,
-                           jit=self.jit, jit_domain=self.jit_domain)
+                           jit_domain=self.jit_domain)
 
     def _record_component(self, name: str, cycles: int) -> None:
         self.recorder.segment_component(name, cycles, Category.BOOT.value,

@@ -58,7 +58,6 @@ class HyperV:
         tracer: Tracer | None = None,
         fast_paths: bool = True,
         recorder: InterfaceRecorder | None = None,
-        jit: bool = True,
         jit_domain: JitDomain | None = None,
     ) -> None:
         self.clock = clock
@@ -70,9 +69,8 @@ class HyperV:
         #: Forwarded to every VirtualMachine this device creates.
         self.fast_paths = fast_paths
         #: Device-scoped superblock-JIT domain (see repro.kvm.device).
-        self.jit = bool(jit) and fast_paths
         self.jit_domain = (jit_domain if jit_domain is not None
-                           else JitDomain()) if self.jit else None
+                           else JitDomain()) if fast_paths else None
         self.vms_created = 0
         #: Partitions released via ``PartitionHandle.close`` (leak
         #: accounting mirrors the KVM device).
@@ -95,7 +93,7 @@ class HyperV:
                               costs=self.costs, tracer=self.tracer,
                               fast_paths=self.fast_paths,
                               recorder=self.recorder,
-                              jit=self.jit, jit_domain=self.jit_domain)
+                              jit_domain=self.jit_domain)
 
 
 class PartitionHandle:

@@ -44,7 +44,6 @@ class KVM:
         tracer: Tracer | None = None,
         fast_paths: bool = True,
         recorder: InterfaceRecorder | None = None,
-        jit: bool = True,
         jit_domain: JitDomain | None = None,
     ) -> None:
         self.clock = clock
@@ -59,10 +58,10 @@ class KVM:
         #: shells and snapshot restores re-attach the same per-image block
         #: caches, so later launches start with compiled blocks (warm
         #: start).  Device-scoped (not process-global) so same-seed runs
-        #: are reproducible within one process.
-        self.jit = bool(jit) and fast_paths
+        #: are reproducible within one process.  ``None`` on the
+        #: reference engine (``fast_paths=False``).
         self.jit_domain = (jit_domain if jit_domain is not None
-                           else JitDomain()) if self.jit else None
+                           else JitDomain()) if fast_paths else None
         self.vms_created = 0
         #: VM fds released via ``VMHandle.close`` (leak accounting:
         #: ``vms_created - vms_closed`` is the live-handle population).
@@ -83,7 +82,7 @@ class KVM:
                               costs=self.costs, tracer=self.tracer,
                               fast_paths=self.fast_paths,
                               recorder=self.recorder,
-                              jit=self.jit, jit_domain=self.jit_domain)
+                              jit_domain=self.jit_domain)
 
 
 class VMHandle:

@@ -140,7 +140,12 @@ class VmBackend(IsolationBackend):
 
 
 class Wasp:
-    """The embeddable virtine hypervisor, over any isolation backend."""
+    """The embeddable virtine hypervisor, over any isolation backend.
+
+    ``fast_paths`` is the one engine switch for guests on the VM
+    backends: ``True`` (the default) is the software TLB, bulk memory
+    paths and superblock JIT; ``False`` is the reference interpreter.
+    """
 
     def __init__(
         self,
@@ -151,22 +156,17 @@ class Wasp:
         tracer: Tracer | None = None,
         trace: bool = False,
         fast_paths: bool = True,
-        jit: bool = True,
         cores: int = 1,
         recorder: InterfaceRecorder | None = None,
         replay: Any = None,
         snapshot_store: SnapshotStore | None = None,
         telemetry: TelemetryRegistry | bool | None = None,
     ) -> None:
-        #: Escape hatch for the hw-layer fast-path engine (software TLB,
-        #: predecoded dispatch, bulk restores).  Simulated cycles are
-        #: identical either way; ``False`` selects the reference paths.
+        #: The engine switch (see the class docstring).  Simulated cycles
+        #: are identical either way.  The backend device owns the
+        #: :class:`~repro.hw.jit.JitDomain`, whose per-image block caches
+        #: give pooled/restored shells their warm start.
         self.fast_paths = fast_paths
-        #: Superblock JIT (DESIGN.md SS15): rides on the fast path, so
-        #: ``fast_paths=False`` implies ``jit=False``.  The backend device
-        #: owns the :class:`~repro.hw.jit.JitDomain`, whose per-image
-        #: block caches give pooled/restored shells their warm start.
-        self.jit = bool(jit) and fast_paths
         self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
         if kernel is not None:
             self.kernel = kernel
@@ -270,10 +270,10 @@ class Wasp:
             return device_cls(self.clock, self.costs, session=self.replay,
                               **common)
         if name == "kvm":
-            return KVM(self.clock, self.costs, jit=self.jit, **common)
+            return KVM(self.clock, self.costs, **common)
         from repro.hyperv.device import HyperV
 
-        return HyperV(self.clock, self.costs, jit=self.jit, **common)
+        return HyperV(self.clock, self.costs, **common)
 
     # -- pools ---------------------------------------------------------------
     def memory_size_for(self, image: VirtineImage) -> int:

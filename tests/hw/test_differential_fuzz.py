@@ -1,10 +1,10 @@
-"""Differential fuzzing of the fast-path engine (PR 4's contract).
+"""Differential fuzzing of the fast-path engine against the reference.
 
 A seeded generator emits random guest programs mixing arithmetic,
 forward branches, memory traffic, stack pairs, and port I/O (the
 hypercall mechanism at the interpreter level: ``out``/``in`` raise the
 exits Wasp turns into hypercalls).  Every program runs twice -- once on
-the fast path (software TLB + predecoded dispatch + ``run_steps`` bulk
+the fast path (software TLB + superblock JIT + ``run_steps`` bulk
 loop) and once on the reference ``step()`` interpreter -- and every
 observable must be bit-equal: registers, flags, dirty memory pages,
 total cycles, per-component cycle attribution, retired-instruction
@@ -211,14 +211,16 @@ def test_fast_path_bit_equal_to_reference(case):
 # control-register writes mid-loop (TLB flush between block runs).
 # Termination is by construction: every loop runs on a dedicated,
 # monotonically decremented counter register; every other branch is
-# forward.  Each case runs three ways -- reference, fast path with the
-# JIT off, fast path with the JIT forced hot (threshold 2) -- and every
-# observable must be bit-equal.
+# forward.  Each case runs on the reference interpreter and on the fast
+# path with the JIT forced hot (threshold 2), and every observable must
+# be bit-equal.
 
 #: Registers the loop-body generator may clobber (cx/dx are loop
 #: counters, r11 holds the CR3 reload value, sp/di as above).
 _JIT_REGS = ("ax", "bx", "si", "r8", "r9", "r10")
 _JIT_THRESHOLD = 2
+#: A threshold no generated program reaches: the JIT never compiles.
+_NEVER_HOT = 1 << 30
 
 
 def _loop_body_item(rng, emit, call_targets) -> None:
@@ -308,7 +310,7 @@ def generate_hot_loop_program(seed: int, *, smc: bool = False,
     return "\n".join(lines)
 
 
-def execute_long64(source: str, *, fast_paths: bool, jit: bool = False,
+def execute_long64(source: str, *, fast_paths: bool,
                    domain: JitDomain | None = None,
                    paged: bool = False) -> tuple[dict, Interpreter]:
     """Run ``source`` in LONG64 (optionally paged); observables + interp."""
@@ -323,7 +325,7 @@ def execute_long64(source: str, *, fast_paths: bool, jit: bool = False,
         cpu.cr3 = cr3
     clock = Clock()
     interp = Interpreter(cpu, memory, clock, COSTS, fast_paths=fast_paths,
-                         jit=jit, jit_domain=domain)
+                         jit_domain=domain)
     interp.load_program(Assembler(0x8000).assemble(source))
     outs: list[tuple[int, int]] = []
     exits: list[str] = []
@@ -366,15 +368,13 @@ def execute_long64(source: str, *, fast_paths: bool, jit: bool = False,
     return obs, interp
 
 
-def _run_three_ways(source: str, *, paged: bool = False):
-    """reference / fast / fast+jit; returns (jit domain, fast, jit interp)."""
+def _run_both_ways(source: str, *, paged: bool = False):
+    """fast+jit (forced hot) and reference; (jit domain, observables...)."""
     domain = JitDomain(threshold=_JIT_THRESHOLD)
-    jit_obs, jit_interp = execute_long64(source, fast_paths=True, jit=True,
+    jit_obs, jit_interp = execute_long64(source, fast_paths=True,
                                          domain=domain, paged=paged)
-    fast_obs, fast_interp = execute_long64(source, fast_paths=True,
-                                           paged=paged)
     ref_obs, _ = execute_long64(source, fast_paths=False, paged=paged)
-    return domain, jit_obs, fast_obs, ref_obs, jit_interp, fast_interp
+    return domain, jit_obs, ref_obs, jit_interp
 
 
 class TestSuperblockHotLoops:
@@ -386,8 +386,8 @@ class TestSuperblockHotLoops:
     def test_jit_bit_equal_on_hot_loops(self, case):
         seed = BASE_SEED + case
         source = generate_hot_loop_program(seed)
-        domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(source)
-        assert jit_obs == fast_obs == ref_obs, (
+        domain, jit_obs, ref_obs, _ = _run_both_ways(source)
+        assert jit_obs == ref_obs, (
             f"superblock engine diverged; replay with "
             f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"
             f"--- program ---\n{source}"
@@ -409,8 +409,8 @@ class TestSuperblockSelfModifyingCode:
     def test_smc_bit_equal_and_invalidates(self, case):
         seed = BASE_SEED + case
         source = generate_hot_loop_program(seed, smc=True)
-        domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(source)
-        assert jit_obs == fast_obs == ref_obs, (
+        domain, jit_obs, ref_obs, _ = _run_both_ways(source)
+        assert jit_obs == ref_obs, (
             f"SMC invalidation diverged; replay with "
             f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"
             f"--- program ---\n{source}"
@@ -429,20 +429,24 @@ class TestSuperblockTlbFlushMidLoop:
     def test_cr3_reload_bit_equal_including_tlb(self, case):
         seed = BASE_SEED + case
         source = generate_hot_loop_program(seed, cr3_reload=True)
-        (domain, jit_obs, fast_obs, ref_obs,
-         jit_interp, fast_interp) = _run_three_ways(source, paged=True)
-        assert jit_obs == fast_obs == ref_obs, (
+        domain, jit_obs, ref_obs, jit_interp = _run_both_ways(
+            source, paged=True)
+        assert jit_obs == ref_obs, (
             f"paged superblock diverged; replay with "
             f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"
             f"--- program ---\n{source}"
         )
         # The TLB counters are host telemetry, not simulated state, but
         # the JIT inlines the hit path *and* memoises the last page --
-        # the counts must still match the plain fast path exactly.
+        # the counts must still match a fast-path run whose PCs never
+        # get hot (every instruction through the per-step fallback).
+        _, cold_interp = execute_long64(
+            source, fast_paths=True, paged=True,
+            domain=JitDomain(threshold=_NEVER_HOT))
         assert ((jit_interp.tlb_hits, jit_interp.tlb_misses,
                  jit_interp.tlb_flushes)
-                == (fast_interp.tlb_hits, fast_interp.tlb_misses,
-                    fast_interp.tlb_flushes)), (
+                == (cold_interp.tlb_hits, cold_interp.tlb_misses,
+                    cold_interp.tlb_flushes)), (
             f"TLB counter divergence; replay with REPRO_FUZZ_SEED={seed}"
         )
 

@@ -284,43 +284,16 @@ def _fresh(source, fast_paths=True):
     return cpu, clock, interp, program
 
 
-class TestOnDemandCompile:
-    SKIPPING = "mov ax, 1\njmp over\nmov bx, 2\nmov cx, 3\nover:\nhlt"
-
-    def test_attach_compiles_no_handler(self):
-        _, _, interp, program = _fresh(self.SKIPPING)
-        assert interp._decoded == {}
-        assert set(interp._by_addr) == {i.addr for i in program.instructions}
-
-    @pytest.mark.parametrize("loop", ["step", "run_steps"])
-    def test_only_executed_instructions_get_handlers(self, loop):
-        _, _, interp, program = _fresh(self.SKIPPING)
-        with pytest.raises(HaltExit):
-            if loop == "step":
-                while True:
-                    interp.step()
-            else:
-                interp.run_steps(100)
-        insns = program.instructions
-        executed = {insns[0].addr, insns[1].addr, insns[4].addr}
-        assert set(interp._decoded) == executed
-
-    def test_reattach_reuses_index_and_handlers(self):
-        _, _, interp, program = _fresh(self.SKIPPING)
+class TestDecodeIndex:
+    def test_reattach_reuses_index(self):
+        _, _, interp, program = _fresh("mov ax, 1\nhlt")
         with pytest.raises(HaltExit):
             interp.run_steps(100)
-        by_addr, decoded = interp._by_addr, interp._decoded
+        by_addr = interp._by_addr
+        assert set(by_addr) == {i.addr for i in program.instructions}
         interp.cpu.reset()
         interp.attach_program(program)
         assert interp._by_addr is by_addr
-        assert interp._decoded is decoded
-
-    def test_reference_path_has_no_handler_map(self):
-        _, _, interp, _ = _fresh(self.SKIPPING, fast_paths=False)
-        assert interp._decoded is None
-        with pytest.raises(HaltExit):
-            interp.run_steps(100)
-        assert interp._decoded is None
 
 
 class TestFetchBetweenInstructions:

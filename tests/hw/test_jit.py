@@ -5,8 +5,8 @@ compiled region must be *invisible* in every simulated observable --
 registers, flags, cycles, dirty pages, TLB counters -- while the
 plumbing around it (profiling, per-image caching, warm start, push
 invalidation, guards, blacklist) behaves as documented.  Equality
-checks here run the same guest three ways: reference interpreter,
-fast path with the JIT off, fast path with the JIT on.
+checks here run the same guest on the reference interpreter
+(``fast_paths=False``) and on the fast path with the JIT on.
 """
 
 import pytest
@@ -14,10 +14,11 @@ import pytest
 from repro.hw import paging
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS
-from repro.hw.cpu import CPU, CR0_PE, CR0_PG, EFER_LME, Mode
-from repro.hw.isa import Assembler, HaltExit, Interpreter
+from repro.hw.cpu import CPU, CR0_PE, CR0_PG, CR4_PAE, EFER_LME, Mode
+from repro.hw.isa import Assembler, GuestExit, HaltExit, Interpreter
 from repro.hw.jit import JitDomain
 from repro.hw.memory import GuestMemory
+from repro.runtime.image import ImageBuilder
 
 MiB = 1024 * 1024
 
@@ -53,7 +54,12 @@ bump:
 """
 
 
-def make_interp(source: str, *, fast_paths: bool = True, jit: bool = True,
+#: A compile threshold no test loop reaches: every instruction of a
+#: fast-path run goes through the per-instruction fallback.
+NEVER_HOT = 1 << 30
+
+
+def make_interp(source: str, *, fast_paths: bool = True,
                 domain: JitDomain | None = None, paged: bool = False,
                 memory: GuestMemory | None = None):
     if memory is None:
@@ -68,7 +74,7 @@ def make_interp(source: str, *, fast_paths: bool = True, jit: bool = True,
         cpu.cr3 = cr3
     clock = Clock()
     interp = Interpreter(cpu, memory, clock, COSTS, fast_paths=fast_paths,
-                         jit=jit, jit_domain=domain)
+                         jit_domain=domain)
     interp.load_program(Assembler(0x8000).assemble(source))
     return interp
 
@@ -98,9 +104,8 @@ class TestCompilationAndEquality:
         domain = JitDomain(threshold=4)
         jit = make_interp(HOT_LOOP, domain=domain)
         jit_obs = run_to_halt(jit)
-        fast_obs = run_to_halt(make_interp(HOT_LOOP, jit=False))
         ref_obs = run_to_halt(make_interp(HOT_LOOP, fast_paths=False))
-        assert jit_obs == fast_obs == ref_obs
+        assert jit_obs == ref_obs
         stats = domain.stats()
         assert stats["blocks_compiled"] > 0
         assert stats["block_runs"] > 0
@@ -115,12 +120,15 @@ class TestCompilationAndEquality:
         jit = make_interp(HOT_LOOP, domain=domain, paged=True)
         jit_obs = run_to_halt(jit)
         jit_tlb = (jit.tlb_hits, jit.tlb_misses, jit.tlb_flushes)
-        fast = make_interp(HOT_LOOP, jit=False, paged=True)
-        fast_obs = run_to_halt(fast)
-        fast_tlb = (fast.tlb_hits, fast.tlb_misses, fast.tlb_flushes)
+        ref_obs = run_to_halt(make_interp(HOT_LOOP, fast_paths=False,
+                                          paged=True))
+        cold = make_interp(HOT_LOOP, domain=JitDomain(threshold=NEVER_HOT),
+                           paged=True)
+        run_to_halt(cold)
+        cold_tlb = (cold.tlb_hits, cold.tlb_misses, cold.tlb_flushes)
         assert domain.stats()["blocks_compiled"] > 0
-        assert jit_obs == fast_obs
-        assert jit_tlb == fast_tlb
+        assert jit_obs == ref_obs
+        assert jit_tlb == cold_tlb
 
     def test_region_transfers_keep_execution_inside_blocks(self):
         """call/ret chains must not bounce through the dispatcher."""
@@ -188,7 +196,7 @@ class TestInvalidation:
         domain = JitDomain(threshold=4)
         jit = make_interp(self.SMC, domain=domain)
         jit_obs = run_to_halt(jit)
-        assert jit_obs == run_to_halt(make_interp(self.SMC, jit=False))
+        assert jit_obs == run_to_halt(make_interp(self.SMC, fast_paths=False))
         stats = domain.stats()["images"][0]
         assert stats["invalidations"] > 0
         # loop2 ran hot after the invalidation: blocks exist again.
@@ -212,8 +220,8 @@ class TestGuards:
         jit = make_interp(HOT_LOOP, domain=domain)
         # Tiny chunks: once blocks exist, most entries find budget < len.
         jit_obs = run_to_halt(jit, chunk=1)
-        assert jit_obs == run_to_halt(make_interp(HOT_LOOP, jit=False),
-                                      chunk=1)
+        assert jit_obs == run_to_halt(
+            make_interp(HOT_LOOP, fast_paths=False), chunk=1)
         assert domain.side_exits["budget_guard"] > 0
 
     def test_blacklisted_head_is_not_retried(self):
@@ -238,17 +246,61 @@ class TestGuards:
         assert head not in cache.blocks
 
 
+class TestModeGuard:
+    #: The loop compiles with paging off, then a fallback ``mov cr0``
+    #: turns paging on and the same loop runs again: its block must be
+    #: refused by the mode guard, never entered with stale translation.
+    PAGING_FLIP = """
+        mov r9, 0
+    again:
+        mov cx, 0
+    loop:
+        mov [0x5000], cx
+        inc cx
+        cmp cx, 40
+        jne loop
+        cmp r9, 1
+        je done
+        mov r9, 1
+        mov bx, cr0
+        or bx, 0x80000000
+        mov cr0, bx
+        jmp again
+    done:
+        hlt
+    """
+
+    def _interp(self, fast_paths, domain=None):
+        memory = GuestMemory(8 * MiB)
+        cpu = CPU()
+        cpu.mode = Mode.LONG64
+        cpu.cr3 = paging.build_identity_map(
+            memory, paging.IdentityMapLayout.at(0x100000))
+        cpu.cr4 = CR4_PAE
+        cpu.efer = EFER_LME
+        cpu.cr0 = CR0_PE
+        interp = Interpreter(cpu, memory, Clock(), COSTS,
+                             fast_paths=fast_paths, jit_domain=domain)
+        interp.load_program(Assembler(0x8000).assemble(self.PAGING_FLIP))
+        return interp
+
+    def test_paging_flip_in_fallback_refreshes_the_guard(self):
+        domain = JitDomain(threshold=4)
+        jit = self._interp(True, domain)
+        jit_obs = run_to_halt(jit, chunk=100_000)
+        assert jit_obs == run_to_halt(self._interp(False), chunk=100_000)
+        cold = self._interp(True, JitDomain(threshold=NEVER_HOT))
+        run_to_halt(cold, chunk=100_000)
+        assert ((jit.tlb_hits, jit.tlb_misses)
+                == (cold.tlb_hits, cold.tlb_misses))
+        assert domain.side_exits["mode_guard"] > 0
+
+
 class TestEscapeHatches:
     def test_fast_paths_off_disables_jit(self):
-        interp = make_interp(HOT_LOOP, fast_paths=False, jit=True)
+        interp = make_interp(HOT_LOOP, fast_paths=False)
         assert not interp.jit
-
-    def test_jit_flag_off(self):
-        domain_stats_before = None
-        interp = make_interp(HOT_LOOP, jit=False)
-        assert not interp.jit
-        run_to_halt(interp)
-        assert domain_stats_before is None  # nothing to leak
+        assert interp._jit_cache is None
 
     def test_impure_clock_subclass_disables_jit(self):
         """Generated code bumps ``clock._cycles`` directly; that is only
@@ -262,12 +314,83 @@ class TestEscapeHatches:
         cpu = CPU()
         cpu.mode = Mode.LONG64
         interp = Interpreter(cpu, memory, TracingClock(), COSTS,
-                             fast_paths=True, jit=True)
+                             fast_paths=True)
         assert not interp.jit
+        # It still runs, on the software TLB without superblocks.
+        interp.load_program(Assembler(0x8000).assemble(HOT_LOOP))
+        assert run_to_halt(interp) == run_to_halt(
+            make_interp(HOT_LOOP, fast_paths=False))
         # An inheriting-but-not-overriding subclass stays eligible.
         class PlainClock(Clock):
             pass
 
         interp2 = Interpreter(CPU(), GuestMemory(8 * MiB), PlainClock(),
-                              COSTS, fast_paths=True, jit=True)
+                              COSTS, fast_paths=True)
         assert interp2.jit
+
+
+def boot_calls(program, budget: int, fast_paths: bool,
+               domain: JitDomain | None = None) -> list[tuple]:
+    """Drive ``program`` to its halt in ``run_steps(budget)`` calls,
+    resuming over I/O exits; one observation per call."""
+    interp = Interpreter(CPU(), GuestMemory(4 * MiB), Clock(), COSTS,
+                         fast_paths=fast_paths, jit_domain=domain)
+    interp.load_program(program)
+    calls = []
+    while True:
+        try:
+            interp.run_steps(budget)
+            exit_kind = None
+        except GuestExit as exit_event:
+            exit_kind = type(exit_event).__name__
+        calls.append((interp.clock.cycles, dict(interp.component_cycles),
+                      interp.last_run_steps, interp.instructions_retired,
+                      exit_kind))
+        if exit_kind == "HaltExit":
+            return calls
+
+
+def chunked(steps: list[tuple], budget: int) -> list[tuple]:
+    """The calls a ``budget``-sized caller sees, from a budget-1 run.
+
+    A call ends after ``budget`` instructions or at the first exiting
+    one; ``last_run_steps`` never counts the exiting instruction.
+    """
+    next_exit = [0] * len(steps)
+    upcoming = len(steps) - 1
+    for i in range(len(steps) - 1, -1, -1):
+        if steps[i][4] is not None:
+            upcoming = i
+        next_exit[i] = upcoming
+    calls = []
+    start = 0
+    while start < len(steps):
+        end = min(start + budget - 1, next_exit[start], len(steps) - 1)
+        cycles, components, _, retired, exit_kind = steps[end]
+        done = end - start + (0 if exit_kind else 1)
+        calls.append((cycles, components, done, retired, exit_kind))
+        start = end + 1
+    return calls
+
+
+class TestBudgetSweep:
+    def test_every_budget_matches_reference_over_long64_boot(self):
+        """The boot's lgdt/ljmp/CR/wrmsr instructions never compile, so
+        every budget mixes superblocks with per-instruction fallback at a
+        different split; cycles, component attribution and step
+        accounting must match the reference at every call boundary.
+        One domain serves every budget, like a pooled shell's warm
+        image cache."""
+        program = ImageBuilder().minimal(Mode.LONG64).program
+        steps = boot_calls(program, 1, fast_paths=False)
+        assert steps[-1][4] == "HaltExit"
+        # The chunking model is the reference engine's own behaviour.
+        for budget in (2, 7, 64, len(steps)):
+            assert (boot_calls(program, budget, False)
+                    == chunked(steps, budget)), budget
+        domain = JitDomain()
+        for budget in range(1, len(steps) + 1):
+            assert (boot_calls(program, budget, True, domain)
+                    == chunked(steps, budget)), budget
+        assert domain.stats()["blocks_compiled"] > 0
+        assert domain.counters["block_instructions"] > 0
