@@ -413,66 +413,34 @@ class SupervisedPlatform:
     fallback node -- a different Wasp whose host plane does not share
     the primary's failures -- so the client sees a slower answer, never
     an error.
-
-    ``primary`` may be a list of Wasps -- one per simulated core (each
-    with its own clock, e.g. from a
-    :class:`~repro.cluster.VirtineCluster`) -- in which case requests
-    round-robin across the cores; ``cores``, if given, must match.  The
-    admission gate and request accounting are shared across every core.
     """
 
     def __init__(
         self,
-        primary: Wasp | list[Wasp],
+        primary: Wasp,
         fallback: Wasp | None = None,
         retry: RetryPolicy | None = None,
         breaker: BreakerConfig | None = None,
         admission: AdmissionController | None = None,
         deadline_cycles: int | None = None,
-        cores: int | None = None,
     ) -> None:
-        primaries = list(primary) if isinstance(primary, (list, tuple)) else [primary]
-        if not primaries:
-            raise ValueError("need at least one primary Wasp")
-        if cores is not None and cores != len(primaries):
-            raise ValueError(
-                f"cores={cores} but {len(primaries)} primary Wasp(s) given; "
-                "each core needs its own Wasp (clocks are per-core)"
-            )
-        #: The admission gate guards the *primaries* only: the fallback
+        #: The admission gate guards the *primary* only: the fallback
         #: is the pressure-relief valve, not another queue to fill.
         self.admission = admission
-        #: One supervisor per core, sharing the gate and breaker config.
-        self.primaries = [
-            Supervisor(wasp, retry=retry, breaker=breaker, admission=admission)
-            for wasp in primaries
-        ]
-        #: Back-compat alias: core 0's supervisor.
-        self.primary = self.primaries[0]
+        self.primary = Supervisor(primary, retry=retry, breaker=breaker,
+                                  admission=admission)
         self.fallback = (
             Supervisor(fallback, retry=retry, breaker=breaker)
             if fallback is not None else None
         )
         #: Per-request cycle budget (minted on the serving node's clock).
         self.deadline_cycles = deadline_cycles
-        #: Round-robin pointer for multi-core routing.
-        self._next_core = 0
         #: Requests the primary could not serve.
         self.degraded_requests = 0
         #: Requests no node could serve.
         self.client_failures = 0
         #: Requests shed by the admission gate.
         self.shed_requests = 0
-
-    @property
-    def cores(self) -> int:
-        return len(self.primaries)
-
-    def _pick_primary(self) -> Supervisor:
-        """Round-robin over the per-core supervisors."""
-        supervisor = self.primaries[self._next_core]
-        self._next_core = (self._next_core + 1) % len(self.primaries)
-        return supervisor
 
     def _launch_on(self, supervisor: Supervisor, image: Any, args: Any,
                    launch_kwargs: dict) -> VirtineResult:
@@ -508,7 +476,7 @@ class SupervisedPlatform:
                 self.client_failures += 1
                 raise
         try:
-            return self._launch_on(self._pick_primary(), image, args, launch_kwargs)
+            return self._launch_on(self.primary, image, args, launch_kwargs)
         except AdmissionRejected:
             self.shed_requests += 1
             raise

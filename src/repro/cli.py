@@ -35,9 +35,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from repro import __version__
 from repro.units import cycles_to_us
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.wasp.guestenv import GuestEnv
 
 
 def _ok(label: str, detail: str = "") -> None:
@@ -250,6 +254,21 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
+def _blob_reader_entry(env: GuestEnv) -> int:
+    """The ``repro metrics`` job: snapshot after init, then read a blob."""
+    from repro.host.filesystem import O_RDONLY
+    from repro.wasp import Hypercall
+
+    if not env.from_snapshot:
+        env.charge(20_000)  # init work that snapshotting elides
+        env.snapshot()
+    fd = env.hypercall(Hypercall.OPEN, "/data/blob", O_RDONLY)
+    data = env.hypercall(Hypercall.READ, fd, 4096)
+    env.hypercall(Hypercall.CLOSE, fd)
+    env.charge_bytes(len(data))
+    return len(data)
+
+
 def _cmd_metrics_cluster(args: argparse.Namespace) -> int:
     """``repro metrics --cores N``: the faulty workload on a cluster.
 
@@ -261,10 +280,8 @@ def _cmd_metrics_cluster(args: argparse.Namespace) -> int:
     """
     from repro.cluster.smp import VirtineCluster
     from repro.faults import FaultPlan, FaultSite
-    from repro.host.filesystem import O_RDONLY
     from repro.runtime.image import ImageBuilder
-    from repro.wasp import Hypercall, PermissivePolicy
-    from repro.wasp.guestenv import GuestEnv
+    from repro.wasp import PermissivePolicy
     from repro.wasp.metrics import aggregate, collect
 
     def plan_for(core_id: int) -> FaultPlan:
@@ -282,17 +299,7 @@ def _cmd_metrics_cluster(args: argparse.Namespace) -> int:
     for engine in cluster.engines:
         engine.wasp.kernel.fs.add_file("/data/blob", b"x" * 4096)
 
-    def entry(env: GuestEnv) -> int:
-        if not env.from_snapshot:
-            env.charge(20_000)
-            env.snapshot()
-        fd = env.hypercall(Hypercall.OPEN, "/data/blob", O_RDONLY)
-        data = env.hypercall(Hypercall.READ, fd, 4096)
-        env.hypercall(Hypercall.CLOSE, fd)
-        env.charge_bytes(len(data))
-        return len(data)
-
-    image = ImageBuilder().hosted(name="metrics-job", entry=entry)
+    image = ImageBuilder().hosted(name="metrics-job", entry=_blob_reader_entry)
     report = cluster.launch_many(
         image, [None] * args.requests,
         policy=PermissivePolicy(), use_snapshot=True,
@@ -339,10 +346,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         return _cmd_metrics_cluster(args)
     from repro.apps.serverless.platform import SupervisedPlatform
     from repro.faults import FaultPlan, FaultSite
-    from repro.host.filesystem import O_RDONLY
     from repro.runtime.image import ImageBuilder
-    from repro.wasp import Hypercall, PermissivePolicy, Wasp
-    from repro.wasp.guestenv import GuestEnv
+    from repro.wasp import PermissivePolicy, Wasp
     from repro.wasp.metrics import collect
 
     plan = (
@@ -362,17 +367,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for wasp in (primary, fallback):
         wasp.kernel.fs.add_file("/data/blob", b"x" * 4096)
 
-    def entry(env: GuestEnv) -> int:
-        if not env.from_snapshot:
-            env.charge(20_000)  # init work that snapshotting elides
-            env.snapshot()
-        fd = env.hypercall(Hypercall.OPEN, "/data/blob", O_RDONLY)
-        data = env.hypercall(Hypercall.READ, fd, 4096)
-        env.hypercall(Hypercall.CLOSE, fd)
-        env.charge_bytes(len(data))
-        return len(data)
-
-    image = ImageBuilder().hosted(name="metrics-job", entry=entry)
+    image = ImageBuilder().hosted(name="metrics-job", entry=_blob_reader_entry)
     platform = SupervisedPlatform(primary, fallback)
     report = platform.run_workload(
         image,
@@ -530,13 +525,21 @@ def _traced_http(seed: int, requests: int, telemetry=None):
     return wasp
 
 
+def _snapshot_burst_entry(env: GuestEnv) -> int:
+    """The traced serverless job: snapshot after init, then touch a page."""
+    if not env.from_snapshot:
+        env.charge(20_000)
+        env.snapshot()
+    env.charge_bytes(4096)
+    return 0
+
+
 def _traced_serverless(seed: int, requests: int, telemetry=None):
     """A seeded faulty burst, so shed/retry/quarantine spans appear."""
     from repro.apps.serverless.platform import SupervisedPlatform
     from repro.faults import FaultPlan, FaultSite
     from repro.runtime.image import ImageBuilder
     from repro.wasp import PermissivePolicy, Wasp
-    from repro.wasp.guestenv import GuestEnv
 
     plan = (
         FaultPlan(seed=seed)
@@ -547,14 +550,7 @@ def _traced_serverless(seed: int, requests: int, telemetry=None):
     primary = Wasp(fault_plan=plan, trace=True, telemetry=telemetry)
     fallback = Wasp()
 
-    def entry(env: GuestEnv) -> int:
-        if not env.from_snapshot:
-            env.charge(20_000)
-            env.snapshot()
-        env.charge_bytes(4096)
-        return 0
-
-    image = ImageBuilder().hosted(name="trace-job", entry=entry)
+    image = ImageBuilder().hosted(name="trace-job", entry=_snapshot_burst_entry)
     SupervisedPlatform(primary, fallback).run_workload(
         image, [None] * requests, policy=PermissivePolicy(), use_snapshot=True,
     )
@@ -639,18 +635,10 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         from repro.cluster.smp import VirtineCluster
         from repro.runtime.image import ImageBuilder
         from repro.wasp import PermissivePolicy
-        from repro.wasp.guestenv import GuestEnv
 
         cluster = VirtineCluster(args.cores, seed=args.seed, telemetry=True)
 
-        def entry(env: GuestEnv) -> int:
-            if not env.from_snapshot:
-                env.charge(20_000)
-                env.snapshot()
-            env.charge_bytes(4096)
-            return 0
-
-        image = ImageBuilder().hosted(name="telemetry-job", entry=entry)
+        image = ImageBuilder().hosted(name="telemetry-job", entry=_snapshot_burst_entry)
         cluster.launch_many(image, [None] * args.requests,
                             policy=PermissivePolicy(), use_snapshot=True)
         snapshot = cluster.telemetry_snapshot(

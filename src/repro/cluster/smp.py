@@ -10,16 +10,11 @@ deterministically: the least-advanced core always runs next, ties
 broken by a seeded rotation, and a starved core steals queued launches
 from the deepest sibling queue.
 
-Two levels of work-stealing exist:
-
-* **task stealing** (here): queued launches migrate between core run
-  queues, so a skewed placement still finishes near the balanced
-  makespan;
-* **shell stealing** (:class:`~repro.wasp.pool.ShardedShellPool`): a
-  core's empty pool shard takes a cached shell from a sibling shard
-  *within one clock domain* -- shells cannot migrate between cluster
-  cores, because a shell's virtual machine is bound to its core's clock
-  at construction.
+Work-stealing happens at one level, tasks: queued launches migrate
+between core run queues, so a skewed placement still finishes near the
+balanced makespan.  Shells never migrate -- a shell's virtual machine is
+bound to its core's clock at construction, so each core's
+:class:`~repro.wasp.pool.ShellPool` serves only that core.
 
 Determinism contract: the same ``(seed, cores, quantum, workload)``
 replays the identical interleaving, steal pattern, per-core cycle
@@ -65,9 +60,16 @@ class CoreEngine:
         return self.wasp.launch(image, **kwargs)
 
 
+def _pool_lookups(wasp: Wasp) -> tuple[int, int]:
+    """``(hits, misses)`` summed over every pool bucket of ``wasp``."""
+    pools = wasp._pools.values()
+    return sum(p.hits for p in pools), sum(p.misses for p in pools)
+
+
 @dataclass(frozen=True)
 class CoreStats:
-    """Per-core accounting for one cluster run."""
+    """Per-core accounting for one :meth:`VirtineCluster.launch_many`
+    batch: every count is that batch's delta, not a running total."""
 
     core_id: int
     tasks: int
@@ -235,6 +237,7 @@ class VirtineCluster:
         placements: list[int] = [-1] * n
         before = {e.core_id: e.clock.cycles for e in self.engines}
         launches_before = {e.core_id: e.wasp.launches for e in self.engines}
+        pools_before = {e.core_id: _pool_lookups(e.wasp) for e in self.engines}
 
         def make_task(index: int, args: Any) -> Callable[[int], None]:
             def task(core: int) -> None:
@@ -258,17 +261,18 @@ class VirtineCluster:
         steals_before = self.scheduler.steals
         self.scheduler.run()
 
-        per_core = [
-            CoreStats(
+        per_core = []
+        for e in self.engines:
+            hits, misses = _pool_lookups(e.wasp)
+            hits_before, misses_before = pools_before[e.core_id]
+            per_core.append(CoreStats(
                 core_id=e.core_id,
                 tasks=placements.count(e.core_id),
                 cycles=e.clock.cycles - before[e.core_id],
                 launches=e.wasp.launches - launches_before[e.core_id],
-                pool_hits=sum(p.hits for p in e.wasp._pools.values()),
-                pool_misses=sum(p.misses for p in e.wasp._pools.values()),
-            )
-            for e in self.engines
-        ]
+                pool_hits=hits - hits_before,
+                pool_misses=misses - misses_before,
+            ))
         return ClusterReport(
             results=results,
             failures=sorted(failures),

@@ -60,7 +60,7 @@ from repro.wasp.policy import (
     Policy,
     VirtineConfig,
 )
-from repro.wasp.pool import CleanMode, ShardedShellPool, Shell, ShellPool
+from repro.wasp.pool import CleanMode, Shell, ShellPool
 from repro.wasp.snapshot import RestoreMode, Snapshot, SnapshotStore
 from repro.wasp.virtine import (
     GuestFault,
@@ -127,7 +127,6 @@ __all__ = [
     "CleanMode",
     "Shell",
     "ShellPool",
-    "ShardedShellPool",
     "Snapshot",
     "SnapshotStore",
     "Virtine",

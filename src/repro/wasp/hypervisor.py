@@ -56,7 +56,7 @@ from repro.wasp.hypercall import (
     policy_gate,
 )
 from repro.wasp.policy import DefaultDenyPolicy, Policy
-from repro.wasp.pool import CleanMode, ShardedShellPool, Shell, ShellPool
+from repro.wasp.pool import CleanMode, Shell, ShellPool
 from repro.wasp.snapshot import RestoreMode, Snapshot, SnapshotGone, SnapshotStore
 from repro.wasp.virtine import (
     GuestFault,
@@ -156,7 +156,6 @@ class Wasp:
         tracer: Tracer | None = None,
         trace: bool = False,
         fast_paths: bool = True,
-        cores: int = 1,
         recorder: InterfaceRecorder | None = None,
         replay: Any = None,
         snapshot_store: SnapshotStore | None = None,
@@ -231,14 +230,7 @@ class Wasp:
         #: :class:`~repro.store.cas.SnapshotGone` GC-race signal).
         self.snapshots = snapshot_store if snapshot_store is not None else SnapshotStore()
         self.canned = CannedHandlers(self.kernel)
-        if cores <= 0:
-            raise ValueError(f"need at least one core, got {cores}")
-        #: Shell-pool sharding degree: with ``cores > 1`` every bucket
-        #: becomes a :class:`ShardedShellPool` (per-core free lists with
-        #: cross-shard work-stealing) and ``launch(core=...)`` routes
-        #: provisioning to that core's shard.
-        self.cores = cores
-        self._pools: dict[int, ShellPool | ShardedShellPool] = {}
+        self._pools: dict[int, ShellPool] = {}
         self.launches = 0
         #: High-water marks of the JIT domain's monotonic stats already
         #: drained into telemetry counters (delta harvest per launch).
@@ -280,28 +272,13 @@ class Wasp:
         """The pool bucket an image's virtines draw shells from."""
         return self.isolation.memory_size_for(image)
 
-    def pool_for(self, memory_size: int) -> ShellPool | ShardedShellPool:
+    def pool_for(self, memory_size: int) -> ShellPool:
         if memory_size not in self._pools:
-            if self.cores > 1:
-                self._pools[memory_size] = ShardedShellPool(
-                    self.isolation, memory_size, background=self.background,
-                    fault_plan=self.fault_plan, shards=self.cores,
-                    telemetry=self.telemetry,
-                )
-            else:
-                self._pools[memory_size] = ShellPool(
-                    self.isolation, memory_size, background=self.background,
-                    fault_plan=self.fault_plan, telemetry=self.telemetry,
-                )
+            self._pools[memory_size] = ShellPool(
+                self.isolation, memory_size, background=self.background,
+                fault_plan=self.fault_plan, telemetry=self.telemetry,
+            )
         return self._pools[memory_size]
-
-    def _pool_view(self, image: VirtineImage, core: int):
-        """The launch path's provisioning handle: the bucket pool, bound
-        to ``core``'s shard when the pool is sharded."""
-        pool = self.pool_for(self.memory_size_for(image))
-        if isinstance(pool, ShardedShellPool):
-            return pool.view(core)
-        return pool
 
     # -- launch ------------------------------------------------------------------
     def launch(
@@ -321,7 +298,6 @@ class Wasp:
         max_steps: int = 50_000_000,
         deadline_cycles: int | None = None,
         deadline: "Deadline | None" = None,
-        core: int = 0,
     ) -> VirtineResult:
         """Run ``image`` in a fresh virtine and return its result.
 
@@ -350,9 +326,6 @@ class Wasp:
         the absolute deadline wins.  A launch that crashes for any reason
         never returns its shell to the pool unscrubbed -- the shell is
         quarantined (scrub + generation bump) instead.
-
-        ``core`` selects the shell-pool shard on a multi-core Wasp
-        (``cores > 1``); single-core Wasps ignore it.
         """
         isolation = self.isolation
         # The one "is this a VM?" decision: only a VM backend has a device.
@@ -366,7 +339,7 @@ class Wasp:
             pooled = self.caps.pooled
         self.launches += 1
         self.recorder.launch_begin(image.name, pooled, use_snapshot)
-        pool = self._pool_view(image, core)
+        pool = self.pool_for(self.memory_size_for(image))
         region = self.clock.region()
         # The launch root span opens with the measurement region and
         # closes (in the outer ``finally``) after teardown, so its cycle
@@ -504,46 +477,6 @@ class Wasp:
                     telemetry.counter(f"jit_{stat}_total",
                                       image=cache.name).inc(delta)
                     seen[(stat, cache.name)] = total
-
-    def launch_many(
-        self,
-        image: VirtineImage,
-        args_list: list[Any],
-        *,
-        return_exceptions: bool = False,
-        **launch_kwargs: Any,
-    ) -> list[VirtineResult | BaseException]:
-        """Batched dispatch: one launch per ``args_list`` entry, in order.
-
-        The batch routes through the attached planes exactly like single
-        launches: when a :class:`~repro.wasp.supervisor.Supervisor` is
-        attached, every entry passes its admission gate, breaker, and
-        retry loop; otherwise :meth:`launch` runs directly.  Launches
-        are spread round-robin across the pool shards on a multi-core
-        Wasp unless the caller pins ``core=...`` explicitly.
-
-        With ``return_exceptions`` set, a shed or crashed entry yields
-        its exception in the result list instead of aborting the batch
-        (the :mod:`asyncio.gather` convention) -- the cluster dispatch
-        path relies on this so one poisoned request cannot sink its
-        whole batch.
-        """
-        supervisor = self.supervisor
-        launcher = supervisor.launch if supervisor is not None else self.launch
-        pinned = "core" in launch_kwargs
-        results: list[VirtineResult | BaseException] = []
-        with self.tracer.span("launch_many", Category.LAUNCH,
-                              image=image.name, batch=len(args_list)):
-            for i, args in enumerate(args_list):
-                if not pinned and self.cores > 1:
-                    launch_kwargs["core"] = i % self.cores
-                try:
-                    results.append(launcher(image, args=args, **launch_kwargs))
-                except Exception as error:
-                    if not return_exceptions:
-                        raise
-                    results.append(error)
-        return results
 
     def session(self, image: VirtineImage, **kwargs: Any) -> "VirtineSession":
         """Open a retained-context session (the "no teardown" mode)."""

@@ -17,7 +17,7 @@ Three cleaning disciplines correspond to the Figure 8 series:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.faults import NO_FAULTS, FaultPlan, FaultSite
 from repro.hw.clock import BackgroundAccountant
@@ -221,154 +221,3 @@ class ShellPool:
     def free_count(self) -> int:
         return len(self._free)
 
-
-@dataclass
-class _ShardView:
-    """One core's handle onto a :class:`ShardedShellPool`.
-
-    Presents the plain :class:`ShellPool` surface (acquire / release /
-    quarantine / create_scratch) with the core identity bound, so the
-    launch path stays shard-agnostic.
-    """
-
-    pool: "ShardedShellPool"
-    core: int
-
-    def acquire(self) -> Shell:
-        return self.pool.acquire(self.core)
-
-    def create_scratch(self) -> Shell:
-        return self.pool.shard(self.core).create_scratch()
-
-    def release(self, shell: Shell, clean: CleanMode = CleanMode.SYNC) -> None:
-        self.pool.shard(self.core).release(shell, clean)
-
-    def quarantine(self, shell: Shell) -> None:
-        self.pool.shard(self.core).quarantine(shell)
-
-    def quarantine_defect(self, shell: Shell) -> None:
-        self.pool.shard(self.core).quarantine_defect(shell)
-
-
-class ShardedShellPool:
-    """Per-core shards of one bucket's shell cache, with work-stealing.
-
-    Every shard is a plain :class:`ShellPool` (same backend, same
-    clock domain -- sharding models per-core free lists with no shared
-    lock, not separate machines).  A core whose shard is empty steals
-    the newest free shell from the richest sibling before paying scratch
-    construction: one extra ``POOL_BOOKKEEPING`` charge (the cross-core
-    hand-off) instead of a full ``KVM_CREATE_VM``.
-
-    Victim selection is deterministic (deepest free list, lowest shard
-    id on ties), so a seeded workload replays the identical steal
-    sequence.
-    """
-
-    def __init__(
-        self,
-        backend: IsolationBackend,
-        memory_size: int,
-        background: BackgroundAccountant | None = None,
-        max_free: int = 64,
-        fault_plan: FaultPlan | None = None,
-        shards: int = 2,
-        steal: bool = True,
-        telemetry: TelemetryRegistry | None = None,
-    ) -> None:
-        if shards <= 0:
-            raise ValueError(f"need at least one shard, got {shards}")
-        self.backend = backend
-        self.memory_size = memory_size
-        self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
-        #: Per-shard cap: the aggregate cache never exceeds ``max_free``.
-        per_shard = max(1, max_free // shards)
-        self.shards_list = [
-            ShellPool(backend, memory_size, background=background,
-                      max_free=per_shard, fault_plan=fault_plan,
-                      telemetry=self.telemetry)
-            for _ in range(shards)
-        ]
-        self.steal = steal
-        self.steals = 0
-
-    def __len__(self) -> int:
-        return len(self.shards_list)
-
-    def shard(self, core: int) -> ShellPool:
-        return self.shards_list[core % len(self.shards_list)]
-
-    def view(self, core: int) -> _ShardView:
-        return _ShardView(pool=self, core=core % len(self.shards_list))
-
-    def acquire(self, core: int = 0) -> Shell:
-        """Provision from the core's shard, stealing on a local miss."""
-        local = self.shard(core)
-        if not local._free and self.steal:
-            victim = self._victim(local)
-            if victim is not None:
-                # The hand-off is free-list bookkeeping on both ends.
-                self.backend.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-                local._free.append(victim._free.pop())
-                self.steals += 1
-                self.telemetry.counter(
-                    "pool_steals_total",
-                    bucket_mb=self.memory_size // (1024 * 1024)).inc()
-                self.backend.tracer.instant("pool.steal", Category.POOL,
-                                        to_shard=core % len(self.shards_list))
-        return local.acquire()
-
-    def _victim(self, thief: ShellPool) -> ShellPool | None:
-        """The richest sibling shard, or None when all are empty."""
-        best: ShellPool | None = None
-        for shard in self.shards_list:
-            if shard is thief or not shard._free:
-                continue
-            if best is None or len(shard._free) > len(best._free):
-                best = shard
-        return best
-
-    def create_scratch(self, core: int = 0) -> Shell:
-        return self.shard(core).create_scratch()
-
-    def release(self, shell: Shell, clean: CleanMode = CleanMode.SYNC,
-                core: int = 0) -> None:
-        self.shard(core).release(shell, clean)
-
-    def quarantine(self, shell: Shell, core: int = 0) -> None:
-        self.shard(core).quarantine(shell)
-
-    def quarantine_defect(self, shell: Shell, core: int = 0) -> None:
-        self.shard(core).quarantine_defect(shell)
-
-    def prewarm(self, count: int) -> None:
-        """Spread ``count`` shells across shards (round-robin remainder)."""
-        shards = len(self.shards_list)
-        base, extra = divmod(count, shards)
-        for i, shard in enumerate(self.shards_list):
-            shard.prewarm(base + (1 if i < extra else 0))
-
-    # -- aggregate counters (the ShellPool metric surface) -------------------
-    @property
-    def free_count(self) -> int:
-        return sum(s.free_count for s in self.shards_list)
-
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self.shards_list)
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self.shards_list)
-
-    @property
-    def quarantines(self) -> int:
-        return sum(s.quarantines for s in self.shards_list)
-
-    @property
-    def defects(self) -> int:
-        return sum(s.defects for s in self.shards_list)
-
-    @property
-    def restore_defects(self) -> int:
-        return sum(s.restore_defects for s in self.shards_list)

@@ -18,7 +18,8 @@ from repro.cluster import (
 from repro.faults import FaultPlan, FaultSite
 from repro.runtime.image import ImageBuilder
 from repro.wasp import Wasp
-from repro.wasp.pool import ShardedShellPool
+from repro.wasp.metrics import collect
+from repro.wasp.pool import ShellPool
 
 
 @pytest.fixture
@@ -260,32 +261,9 @@ class TestSharedSnapshots:
         assert len(stores) == 2
 
 
-# ---------------------------------------------------------------------------
-# Wasp.launch_many + ShardedShellPool (single clock domain)
-# ---------------------------------------------------------------------------
-
-class TestLaunchMany:
-    def test_round_robins_across_shards(self, image):
-        wasp = Wasp(cores=4)
-        results = wasp.launch_many(image, [None] * 8, use_snapshot=False)
-        assert len(results) == 8
-        assert all(r.value is not None or r.cycles > 0 for r in results)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        assert isinstance(pool, ShardedShellPool)
-
-    def test_pinned_core_honoured(self, image):
-        wasp = Wasp(cores=4)
-        wasp.launch_many(image, [None] * 4, use_snapshot=False, core=2)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        # All launches hit shard 2: it has the only cached shell.
-        frees = [shard.free_count for shard in pool.shards_list]
-        assert frees[2] == 1
-        assert sum(frees) == 1
-
-    def test_return_exceptions_captures_failures(self, image):
-        wasp = Wasp(cores=2)
-        bad_args = [None, object()]  # second entry is unserialisable
-
+class TestFailureCapture:
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_one_poisoned_request_never_sinks_the_batch(self, supervised):
         class Boom(Exception):
             pass
 
@@ -295,56 +273,79 @@ class TestLaunchMany:
             return 1
 
         hosted = ImageBuilder().hosted("maybe-boom", entry)
-        results = wasp.launch_many(
-            hosted, bad_args, return_exceptions=True, use_snapshot=False,
-        )
-        assert len(results) == 2
-        assert results[0].value == 1
-        assert isinstance(results[1], Exception)
+        cluster = VirtineCluster(cores=2, seed=4, supervised=supervised)
+        report = cluster.launch_many(hosted, [None, object()],
+                                     use_snapshot=False)
+        assert [index for index, _ in report.failures] == [1]
+        assert report.results[0].value == 1
+        assert report.results[1] is None
 
-    def test_exception_propagates_by_default(self, image):
-        wasp = Wasp(cores=2)
-
+    def test_single_launch_raises_to_its_caller(self):
+        # Outside a cluster batch nothing captures the error.
         def entry(env):
             raise RuntimeError("boom")
 
         hosted = ImageBuilder().hosted("boom", entry)
         with pytest.raises(Exception):
-            wasp.launch_many(hosted, [None], use_snapshot=False)
+            Wasp().launch(hosted, use_snapshot=False)
 
-    def test_single_core_wasp_uses_plain_pool(self, image):
+
+class TestCoreStats:
+    def test_pool_counters_are_per_batch_deltas(self, image):
+        cluster = VirtineCluster(cores=4, seed=6)
+        cluster.prewarm(image, 2)
+        for _ in range(2):
+            report = cluster.launch_many(image, [None] * 8,
+                                         use_snapshot=False)
+            for stats in report.per_core:
+                assert stats.pool_hits + stats.pool_misses == stats.launches
+
+    def test_warm_cores_stop_missing_after_the_first_batch(self, image):
+        cluster = VirtineCluster(cores=4, seed=6)
+        first = cluster.launch_many(image, [None] * 8, use_snapshot=False)
+        assert all(s.pool_misses == 1 for s in first.per_core)
+        for _ in range(2):
+            report = cluster.launch_many(image, [None] * 8,
+                                         use_snapshot=False)
+            assert all(s.pool_misses == 0 for s in report.per_core)
+            assert all(s.pool_hits == s.launches for s in report.per_core)
+
+    def test_per_core_counts_cover_the_batch(self, image):
+        cluster = VirtineCluster(cores=4, seed=6)
+        report = cluster.launch_many(image, [None] * 10, placement="packed",
+                                     use_snapshot=False)
+        assert sum(s.tasks for s in report.per_core) == 10
+        assert sum(s.launches for s in report.per_core) == 10
+        for stats in report.per_core:
+            assert stats.tasks == report.placements.count(stats.core_id)
+
+    def test_batch_deltas_add_up_to_metrics_totals(self, image):
+        cluster = VirtineCluster(cores=2, seed=6)
+        reports = [cluster.launch_many(image, [None] * 4, use_snapshot=False)
+                   for _ in range(3)]
+        for engine in cluster.engines:
+            core = engine.core_id
+            pools = collect(engine.wasp).to_dict()["pools"]
+            assert sum(p["hits"] for p in pools) == sum(
+                r.per_core[core].pool_hits for r in reports)
+            assert sum(p["misses"] for p in pools) == sum(
+                r.per_core[core].pool_misses for r in reports)
+
+
+class TestOnePool:
+    """Per-core scale-out lives in :class:`VirtineCluster`; a Wasp keeps
+    one plain :class:`ShellPool` per memory size."""
+
+    def test_wasp_pool_is_a_plain_shell_pool(self, image):
         wasp = Wasp()
         wasp.launch(image, use_snapshot=False)
         pool = wasp.pool_for(wasp.memory_size_for(image))
-        assert not isinstance(pool, ShardedShellPool)
+        assert type(pool) is ShellPool
+        assert (pool.hits, pool.misses, pool.free_count) == (0, 1, 1)
 
-
-class TestShardedPool:
-    def test_empty_shard_steals_from_richest_sibling(self, image):
-        wasp = Wasp(cores=2)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        pool.prewarm(4)  # 2 per shard
-        assert pool.free_count == 4
-        # Drain shard 0, then acquire again: it must steal from shard 1.
-        pool.acquire(core=0)
-        pool.acquire(core=0)
-        assert pool.shards_list[0].free_count == 0
-        pool.acquire(core=0)
-        assert pool.steals == 1
-        assert pool.shards_list[1].free_count == 1
-
-    def test_aggregate_counters_sum_shards(self, image):
-        wasp = Wasp(cores=4)
-        wasp.launch_many(image, [None] * 8, use_snapshot=False)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        assert pool.hits == sum(s.hits for s in pool.shards_list)
-        assert pool.misses == sum(s.misses for s in pool.shards_list)
-        assert pool.free_count == sum(s.free_count for s in pool.shards_list)
-
-    def test_metrics_collect_handles_sharded_pools(self, image):
-        from repro.wasp.metrics import collect
-
-        wasp = Wasp(cores=2)
-        wasp.launch_many(image, [None] * 4, use_snapshot=False)
-        snapshot = collect(wasp)
-        assert snapshot.to_dict()  # aggregates without blowing up
+    def test_wasp_takes_no_core_knobs(self, image):
+        with pytest.raises(TypeError):
+            Wasp(cores=2)
+        with pytest.raises(TypeError):
+            Wasp().launch(image, use_snapshot=False, core=1)
+        assert not hasattr(Wasp, "launch_many")
