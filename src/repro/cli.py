@@ -989,6 +989,8 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.kvm.device import VM_DEVICES
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Virtines (EuroSys '22) reproduction CLI"
     )
@@ -1135,7 +1137,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="workload seed (default 1234)")
     rec.add_argument("--requests", type=int, default=4,
                      help="requests to drive (default 4)")
-    rec.add_argument("--backend", default="kvm", choices=["kvm", "hyperv"],
+    rec.add_argument("--backend", default="kvm", choices=list(VM_DEVICES),
                      help="VMM backend (default kvm)")
     rec.add_argument("--out", default="stream.json",
                      help="artifact path (default stream.json)")

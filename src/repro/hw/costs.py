@@ -43,6 +43,7 @@ Wasp code paths against this table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.units import gb_per_s_to_cycles_per_byte, us_to_cycles
 
@@ -238,3 +239,24 @@ class CostModel:
 
 #: The shared, calibrated cost model instance.
 COSTS = CostModel()
+
+
+@dataclass(frozen=True)
+class CallTable:
+    """One hypervisor's VM device interface: a name and a price per step.
+
+    The steps are create VM, map guest memory, create vCPU, and the
+    overhead of each run call.  ``price`` returns their cycle costs, in
+    that order, under a cost model; a device prices its table once, when
+    it is built.
+    """
+
+    #: The backend name Wasp selects this table by.
+    backend: str
+    #: Raised on misuse of the interface.
+    error: type[Exception]
+    create_vm: str
+    map_memory: str
+    create_vcpu: str
+    run: str
+    price: Callable[[CostModel], tuple[int, int, int, int]]

@@ -165,8 +165,8 @@ class VirtualMachine:
     def vmrun(self, max_steps: int = 50_000_000) -> ExitInfo:
         """Enter the guest (``vmrun``) and run until the next ``#VMEXIT``.
 
-        The entry and exit world-switch costs are charged here; the KVM
-        layer adds its ioctl/ring costs on top.
+        The entry and exit world-switch costs are charged here; the
+        device adds its run call's cost on top.
         """
         span = self.tracer.begin("vmrun", Category.VMM)
         self.clock.advance(self.costs.VMRUN_ENTRY)
@@ -175,7 +175,14 @@ class VirtualMachine:
         try:
             info = self._run_until_exit(max_steps)
             self.recorder.vmexit_end(self.clock.cycles, info, self.cpu)
-            span.annotate(exit_reason=info.reason.value, steps=info.steps)
+            # A replayed hostile stream may carry a raw, out-of-enum
+            # reason; the device fails it closed after the exit.
+            reason = info.reason
+            span.annotate(
+                exit_reason=(reason.value if isinstance(reason, ExitReason)
+                             else str(reason)),
+                steps=info.steps,
+            )
             return info
         finally:
             self._in_guest = False

@@ -1,4 +1,4 @@
-"""A KVM device model (the ``/dev/kvm`` interface Wasp drives).
+"""The VM device model Wasp drives (``/dev/kvm`` and, by call table, WHP).
 
 See :mod:`repro.kvm.device`.
 """

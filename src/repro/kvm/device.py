@@ -1,7 +1,12 @@
-"""The KVM device model.
+"""The VM device model: one device, one call table per hypervisor.
 
 On Linux, each virtual context is "a device file which is manipulated by
-Wasp using an ioctl" (Section 5.1).  This module models that interface:
+Wasp using an ioctl" (Section 5.1); on Windows the same steps are
+Windows Hypervisor Platform calls (Section 4.1, :mod:`repro.hyperv.device`).
+One device -- :class:`KVM` with its :class:`VMHandle` and
+:class:`VcpuHandle` -- models both.  A frozen
+:class:`~repro.hw.costs.CallTable` names and prices each step;
+:data:`KVM_CALLS` is the ``/dev/kvm`` table:
 
 * :meth:`KVM.create_vm` -- ``KVM_CREATE_VM``: allocates the in-kernel VM
   state (VMCB on AMD / VMCS on Intel).  This is the expensive step pooling
@@ -12,7 +17,9 @@ Wasp using an ioctl" (Section 5.1).  This module models that interface:
   followed by execution of the vmrun instruction" (Section 4.2), plus the
   user/kernel ring transitions of the ioctl itself.
 
-Every call charges its cycle costs on the shared clock.
+Every call charges its cycle costs on the shared clock.  The device
+prices its table once, when it is built; :data:`VM_DEVICES` lists every
+table by backend name.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.faults import NO_FAULTS, FaultPlan, FaultSite
 from repro.hw.clock import Clock
-from repro.hw.costs import COSTS, CostModel
+from repro.hw.costs import COSTS, CallTable, CostModel
 from repro.hw.isa import Program
 from repro.hw.jit import JitDomain
 from repro.hw.vmx import ExitInfo, ExitReason, VirtualMachine
@@ -33,8 +40,29 @@ class KvmError(Exception):
     """An invalid use of the KVM interface."""
 
 
+#: The ``/dev/kvm`` ioctls: each pays an ioctl round trip plus its
+#: in-kernel work.
+KVM_CALLS = CallTable(
+    backend="kvm",
+    error=KvmError,
+    create_vm="KVM_CREATE_VM",
+    map_memory="KVM_SET_USER_MEMORY_REGION",
+    create_vcpu="KVM_CREATE_VCPU",
+    run="KVM_RUN",
+    price=lambda costs: (
+        costs.ioctl() + costs.KVM_CREATE_VM_BASE,
+        costs.ioctl() + costs.KVM_SET_MEMORY_REGION,
+        costs.ioctl() + costs.KVM_CREATE_VCPU,
+        costs.ioctl() + costs.KVM_RUN_CHECKS,
+    ),
+)
+
+
 class KVM:
-    """The ``/dev/kvm`` system device."""
+    """The VM system device (``/dev/kvm`` unless given another table)."""
+
+    #: Builds each VM (the replay device swaps in a stream-fed one).
+    new_vm = VirtualMachine
 
     def __init__(
         self,
@@ -45,9 +73,13 @@ class KVM:
         fast_paths: bool = True,
         recorder: InterfaceRecorder | None = None,
         jit_domain: JitDomain | None = None,
+        calls: CallTable = KVM_CALLS,
     ) -> None:
         self.clock = clock
         self.costs = costs
+        self.calls = calls
+        (self.create_vm_cycles, self.map_memory_cycles,
+         self.create_vcpu_cycles, self.run_cycles) = calls.price(costs)
         self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
         self.tracer = tracer if tracer is not None else NO_TRACE
         #: Boundary-stream recorder forwarded to every VM (no-op default).
@@ -63,30 +95,25 @@ class KVM:
         self.jit_domain = (jit_domain if jit_domain is not None
                            else JitDomain()) if fast_paths else None
         self.vms_created = 0
-        #: VM fds released via ``VMHandle.close`` (leak accounting:
+        #: VMs released via ``VMHandle.close`` (leak accounting:
         #: ``vms_created - vms_closed`` is the live-handle population).
         self.vms_closed = 0
 
+    def _charge(self, name: str, cost: int) -> None:
+        """Pay one device call: clock, trace leaf, and recorded stream."""
+        self.clock.advance(cost)
+        self.tracer.component(name, cost, Category.VMM)
+        self.recorder.devcall(name, cost)
+
     def create_vm(self) -> "VMHandle":
         """``KVM_CREATE_VM``: allocate in-kernel VM state."""
-        cost = self.costs.ioctl() + self.costs.KVM_CREATE_VM_BASE
-        self.clock.advance(cost)
-        self.tracer.component("KVM_CREATE_VM", cost, Category.VMM)
-        self.recorder.devcall("KVM_CREATE_VM", cost)
+        self._charge(self.calls.create_vm, self.create_vm_cycles)
         self.vms_created += 1
         return VMHandle(kvm=self)
 
-    def _new_vm(self, size: int) -> VirtualMachine:
-        """VM factory (the replay substrate overrides this)."""
-        return VirtualMachine(memory_size=size, clock=self.clock,
-                              costs=self.costs, tracer=self.tracer,
-                              fast_paths=self.fast_paths,
-                              recorder=self.recorder,
-                              jit_domain=self.jit_domain)
-
 
 class VMHandle:
-    """A VM file descriptor returned by ``KVM_CREATE_VM``."""
+    """A VM handle returned by the device's create-VM call."""
 
     def __init__(self, kvm: KVM) -> None:
         self.kvm = kvm
@@ -94,40 +121,39 @@ class VMHandle:
         self.vcpu: VcpuHandle | None = None
         self.closed = False
 
-    def _check_open(self) -> None:
+    def _check(self, mapped: bool | None = None) -> None:
+        """Raise the table's error on a closed handle or, when ``mapped``
+        is given, unless guest memory is (or is not yet) mapped."""
+        calls = self.kvm.calls
         if self.closed:
-            raise KvmError("operation on a closed VM fd")
+            raise calls.error("operation on a closed VM handle")
+        if mapped is not None and (self.vm is not None) != mapped:
+            raise calls.error(f"guest memory {'not yet' if mapped else 'already'}"
+                              f" mapped by {calls.map_memory}")
 
     def set_user_memory_region(self, size: int) -> None:
         """``KVM_SET_USER_MEMORY_REGION``: register guest memory."""
-        self._check_open()
-        if self.vm is not None:
-            raise KvmError("memory region already registered")
-        cost = self.kvm.costs.ioctl() + self.kvm.costs.KVM_SET_MEMORY_REGION
-        self.kvm.clock.advance(cost)
-        self.kvm.tracer.component("KVM_SET_USER_MEMORY_REGION", cost, Category.VMM)
-        self.kvm.recorder.devcall("KVM_SET_USER_MEMORY_REGION", cost)
-        self.vm = self.kvm._new_vm(size)
+        self._check(mapped=False)
+        kvm = self.kvm
+        kvm._charge(kvm.calls.map_memory, kvm.map_memory_cycles)
+        self.vm = kvm.new_vm(memory_size=size, clock=kvm.clock,
+                             costs=kvm.costs, tracer=kvm.tracer,
+                             fast_paths=kvm.fast_paths,
+                             recorder=kvm.recorder, jit_domain=kvm.jit_domain)
 
     def create_vcpu(self) -> "VcpuHandle":
         """``KVM_CREATE_VCPU``: allocate a vCPU."""
-        self._check_open()
-        if self.vm is None:
-            raise KvmError("create_vcpu before set_user_memory_region")
+        self._check(mapped=True)
+        calls = self.kvm.calls
         if self.vcpu is not None:
-            raise KvmError("vCPU already created")
-        cost = self.kvm.costs.ioctl() + self.kvm.costs.KVM_CREATE_VCPU
-        self.kvm.clock.advance(cost)
-        self.kvm.tracer.component("KVM_CREATE_VCPU", cost, Category.VMM)
-        self.kvm.recorder.devcall("KVM_CREATE_VCPU", cost)
+            raise calls.error(f"vCPU already created by {calls.create_vcpu}")
+        self.kvm._charge(calls.create_vcpu, self.kvm.create_vcpu_cycles)
         self.vcpu = VcpuHandle(self)
         return self.vcpu
 
     def load_program(self, program: Program) -> None:
         """Copy a program image into guest memory (host-side memcpy)."""
-        self._check_open()
-        if self.vm is None:
-            raise KvmError("load_program before set_user_memory_region")
+        self._check(mapped=True)
         cost = self.kvm.costs.memcpy(len(program.image))
         self.kvm.clock.advance(cost)
         self.kvm.recorder.devcall("memcpy.image", cost)
@@ -144,35 +170,35 @@ class VMHandle:
 
 @dataclass
 class VcpuHandle:
-    """A vCPU file descriptor returned by ``KVM_CREATE_VCPU``."""
+    """A vCPU handle returned by the device's create-vCPU call."""
 
     handle: VMHandle
 
     @property
     def vm(self) -> VirtualMachine:
-        vm = self.handle.vm
-        if vm is None:  # pragma: no cover - guarded by create_vcpu
-            raise KvmError("vCPU without memory region")
-        return vm
+        # Never None: a vCPU is only created on mapped guest memory.
+        return self.handle.vm
 
     def run(self, max_steps: int = 50_000_000) -> ExitInfo:
-        """``KVM_RUN``: ioctl + sanity checks + vmrun, until the next exit.
+        """``KVM_RUN``: run overhead + vmrun, until the next exit.
 
-        The ring transitions of the ioctl are charged on both the way in
-        and (implicitly, as part of the ioctl round trip) on the way out --
-        this is why hypercall exits are "doubly expensive" relative to a
-        bare world switch (Section 6.3).
+        On KVM the overhead is the ioctl's ring transitions plus its
+        sanity checks, paid on the way in and (implicitly, as part of the
+        ioctl round trip) on the way out -- this is why hypercall exits
+        are "doubly expensive" relative to a bare world switch
+        (Section 6.3).
         """
-        self.handle._check_open()
+        self.handle._check()
         kvm = self.handle.kvm
-        span = kvm.tracer.begin("KVM_RUN", Category.VMM)
+        span = kvm.tracer.begin(kvm.calls.run, Category.VMM)
         try:
-            kvm.clock.advance(kvm.costs.ioctl() + kvm.costs.KVM_RUN_CHECKS)
+            kvm.clock.advance(kvm.run_cycles)
             if kvm.fault_plan.draw(FaultSite.VCPU_RUN):
-                # The ioctl returns -1 without ever entering the guest (the
-                # ring transitions above were still paid).
+                # The call returns an error without ever entering the
+                # guest (the run overhead above was still paid).
                 span.annotate(error="InjectedFault")
-                raise kvm.fault_plan.fault(FaultSite.VCPU_RUN, "KVM_RUN aborted")
+                raise kvm.fault_plan.fault(FaultSite.VCPU_RUN,
+                                           f"{kvm.calls.run} aborted")
             info = self.vm.vmrun(max_steps=max_steps)
             if not isinstance(info.reason, ExitReason):
                 # Fail closed: an exit reason outside the architectural
@@ -192,3 +218,11 @@ class VcpuHandle:
     def complete_io_in(self, dest: str, value: int) -> None:
         """Deliver the result of an ``in`` port read before re-entry."""
         self.vm.complete_io_in(dest, value)
+
+
+# Imported last: the WHP table's module builds its device from ``KVM``.
+from repro.hyperv.device import WHP  # noqa: E402
+
+#: Every VM device table, by the backend name Wasp selects it with.
+VM_DEVICES: dict[str, CallTable] = {
+    calls.backend: calls for calls in (KVM_CALLS, WHP)}

@@ -28,7 +28,6 @@ from repro.replay.stream import (
 _LAZY = {
     "ReplaySession": "repro.replay.substrate",
     "ScriptedEntry": "repro.replay.substrate",
-    "ReplayEngine": "repro.replay.engine",
     "ReplayReport": "repro.replay.engine",
     "diff_streams": "repro.replay.engine",
     "record": "repro.replay.engine",

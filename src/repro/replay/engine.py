@@ -12,12 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.kvm.device import VM_DEVICES
 from repro.replay.stream import BoundaryStream, InterfaceRecorder, ReplayDivergence
 from repro.replay.substrate import ReplaySession
 from repro.replay.workloads import REPLAY_WORKLOADS, WorkloadContext, collect_meta
-
-#: Backends a recorded stream may name.
-BACKENDS = ("kvm", "hyperv")
 
 
 def record(workload: str, seed: int = 1234, requests: int = 4,
@@ -27,8 +25,6 @@ def record(workload: str, seed: int = 1234, requests: int = 4,
     if driver is None:
         raise ValueError(
             f"unknown workload {workload!r} (one of {sorted(REPLAY_WORKLOADS)})")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (one of {BACKENDS})")
     recorder = InterfaceRecorder()
     ctx = WorkloadContext(seed=seed, requests=requests, backend=backend,
                           recorder=recorder)
@@ -95,7 +91,7 @@ def replay(stream: BoundaryStream, strict: bool = True) -> ReplayReport:
     backend = params.get("backend")
     if (not isinstance(seed, int) or isinstance(seed, bool)
             or not isinstance(requests, int) or isinstance(requests, bool)
-            or requests < 0 or backend not in BACKENDS):
+            or requests < 0 or backend not in tuple(VM_DEVICES)):
         raise ValueError(f"stream carries malformed params {params!r}")
     session = ReplaySession(stream, strict=strict)
     recorder = InterfaceRecorder()
@@ -134,21 +130,8 @@ def replay(stream: BoundaryStream, strict: bool = True) -> ReplayReport:
     )
 
 
-class ReplayEngine:
-    """Facade bundling record/replay for programmatic use."""
-
-    def record(self, workload: str, seed: int = 1234, requests: int = 4,
-               backend: str = "kvm") -> BoundaryStream:
-        return record(workload, seed=seed, requests=requests, backend=backend)
-
-    def replay(self, stream: BoundaryStream, strict: bool = True) -> ReplayReport:
-        return replay(stream, strict=strict)
-
-
 __all__ = [
-    "BACKENDS",
     "ReplayDivergence",
-    "ReplayEngine",
     "ReplayReport",
     "diff_streams",
     "record",

@@ -29,13 +29,13 @@ from __future__ import annotations
 import base64
 import binascii
 from collections import deque
+from functools import partial
 from typing import Any
 
 from repro.faults import FaultPlan, FaultSite
 from repro.hw.cpu import GDTR, Flags, Mode
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory, GuestMemoryError
 from repro.hw.vmx import ExitInfo, ExitReason, Milestone, VirtualMachine
-from repro.hyperv.device import HyperV
 from repro.kvm.device import KVM
 from repro.replay.stream import BoundaryStream, ReplayDivergence, decode_value, encode_value
 from repro.trace.tracer import Category
@@ -69,6 +69,16 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: Event kinds replay consumes -> what a divergence says the stream ran
+#: out of.
+_CONSUMED = {
+    "vmexit": "vmexits",
+    "hosted_run": "hosted runs",
+    "mem_capture": "snapshot captures",
+    "mem_clear": "memory scrubs",
+}
+
+
 class ReplaySession:
     """Consumable queues over one recorded stream, plus the fail policy.
 
@@ -82,14 +92,9 @@ class ReplaySession:
         self.stream = stream
         self.strict = strict
         events = [e for e in stream.events if isinstance(e, dict)]
-        self.vmexits: deque = deque(
-            e for e in events if e.get("kind") == "vmexit")
-        self.hosted_runs: deque = deque(
-            e for e in events if e.get("kind") == "hosted_run")
-        self.mem_captures: deque = deque(
-            e for e in events if e.get("kind") == "mem_capture")
-        self.mem_clears: deque = deque(
-            e for e in events if e.get("kind") == "mem_clear")
+        self.queues: dict[str, deque] = {
+            kind: deque(e for e in events if e.get("kind") == kind)
+            for kind in _CONSUMED}
         #: Mutation-only events arming extra fault injections (see
         #: :meth:`arm`).
         self.fault_arms = [e for e in events if e.get("kind") == "fault_arm"]
@@ -108,38 +113,20 @@ class ReplaySession:
         raise GuestFault(f"hostile boundary stream: {message}")
 
     # -- queue accessors -----------------------------------------------------
-    def next_vmexit(self) -> dict:
-        if not self.vmexits:
-            self.fail("boundary stream ran out of vmexits")
-        return self.vmexits.popleft()
-
-    def next_hosted_run(self) -> dict:
-        if not self.hosted_runs:
-            self.fail("boundary stream ran out of hosted runs")
-        return self.hosted_runs.popleft()
-
-    def next_mem_capture(self) -> dict:
-        if not self.mem_captures:
-            self.fail("boundary stream ran out of snapshot captures")
-        return self.mem_captures.popleft()
-
-    def next_mem_clear(self) -> dict:
-        if not self.mem_clears:
-            self.fail("boundary stream ran out of memory scrubs")
-        return self.mem_clears.popleft()
+    def next(self, kind: str) -> dict:
+        """Pop the next recorded event of a consumed ``kind``."""
+        queue = self.queues[kind]
+        if not queue:
+            self.fail(f"boundary stream ran out of {_CONSUMED[kind]}")
+        return queue.popleft()
 
     def drained(self) -> dict:
         """Events the replay never consumed (all zero on a clean replay)."""
-        return {
-            "vmexits": len(self.vmexits),
-            "hosted_runs": len(self.hosted_runs),
-            "mem_captures": len(self.mem_captures),
-            "mem_clears": len(self.mem_clears),
-        }
+        return {f"{kind}s": len(queue) for kind, queue in self.queues.items()}
 
     def scripted_entry(self, name: str) -> "ScriptedEntry":
         """Pop the next hosted run as the entry callable for ``name``."""
-        return ScriptedEntry(self, self.next_hosted_run())
+        return ScriptedEntry(self, self.next("hosted_run"))
 
     # -- fault-plane arming --------------------------------------------------
     def arm(self, plan: FaultPlan) -> None:
@@ -228,7 +215,7 @@ class ReplayGuestMemory(GuestMemory):
             self._cow_pending.difference_update(span)
 
     def capture_dirty(self) -> dict[int, bytes]:
-        event = self.session.next_mem_capture()
+        event = self.session.next("mem_capture")
         pages = event.get("pages")
         if not isinstance(pages, list):
             self.session.fail("snapshot capture with a malformed page list")
@@ -244,7 +231,7 @@ class ReplayGuestMemory(GuestMemory):
         return result
 
     def clear_dirty(self) -> int:
-        event = self.session.next_mem_clear()
+        event = self.session.next("mem_clear")
         nbytes = event.get("bytes")
         if not _is_count(nbytes):
             self.session.fail("memory scrub with a malformed byte count")
@@ -272,23 +259,8 @@ class ReplayVirtualMachine(VirtualMachine):
     def _make_interpreter(self, fast_paths: bool) -> _StubInterpreter:
         return _StubInterpreter(self.memory)
 
-    def vmrun(self, max_steps: int = 50_000_000) -> ExitInfo:
-        span = self.tracer.begin("vmrun", Category.VMM)
-        self.clock.advance(self.costs.VMRUN_ENTRY)
-        self.recorder.vmexit_begin(self.clock.cycles)
-        try:
-            info = self._replay_interior(self.session.next_vmexit())
-            self.recorder.vmexit_end(self.clock.cycles, info, self.cpu)
-            reason = info.reason
-            span.annotate(
-                exit_reason=(reason.value if isinstance(reason, ExitReason)
-                             else str(reason)),
-                steps=info.steps,
-            )
-            return info
-        finally:
-            self.clock.advance(self.costs.VMRUN_EXIT)
-            self.tracer.end(span)
+    def _run_until_exit(self, max_steps: int) -> ExitInfo:
+        return self._replay_interior(self.session.next("vmexit"))
 
     # -- interior replay -----------------------------------------------------
     def _replay_interior(self, event: dict) -> ExitInfo:
@@ -436,34 +408,13 @@ class ReplayVirtualMachine(VirtualMachine):
                         in_dest=in_dest, detail=detail, steps=steps)
 
 
-class ReplayKVM(KVM):
-    """The KVM device plane building replay VMs (handler code unchanged)."""
+class ReplayDevice(KVM):
+    """The VM device plane, over either call table, building replay VMs
+    (handler code unchanged)."""
 
     def __init__(self, *args: Any, session: ReplaySession, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.session = session
-
-    def _new_vm(self, size: int) -> VirtualMachine:
-        return ReplayVirtualMachine(
-            self.session, memory_size=size, clock=self.clock, costs=self.costs,
-            tracer=self.tracer, fast_paths=self.fast_paths,
-            recorder=self.recorder,
-        )
-
-
-class ReplayHyperV(HyperV):
-    """The Hyper-V device plane building replay VMs."""
-
-    def __init__(self, *args: Any, session: ReplaySession, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.session = session
-
-    def _new_vm(self, size: int) -> VirtualMachine:
-        return ReplayVirtualMachine(
-            self.session, memory_size=size, clock=self.clock, costs=self.costs,
-            tracer=self.tracer, fast_paths=self.fast_paths,
-            recorder=self.recorder,
-        )
+        self.new_vm = partial(ReplayVirtualMachine, session)
 
 
 class ScriptedEntry:

@@ -35,7 +35,7 @@ from repro.hw.clock import BackgroundAccountant
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.memory import GuestMemoryError
 from repro.hw.vmx import STEP_BUDGET_EXHAUSTED, ExitReason
-from repro.kvm.device import KVM
+from repro.kvm.device import KVM, VM_DEVICES
 from repro.replay.stream import (
     NO_RECORD,
     InterfaceRecorder,
@@ -102,25 +102,26 @@ class VmBackend(IsolationBackend):
 
     Contexts are :class:`~repro.wasp.pool.Shell` objects built by the
     device's create-VM, memory-region, and vCPU calls (each charging its
-    own cost); every crossing pays the world switch plus the ioctl ring
+    own cost); every entry pays the device's run call plus the world
+    switch, and every exit the world switch plus the ioctl ring
     transitions ("doubly expensive", Section 6.3).
     """
 
     caps = KVM_CAPS
 
-    def __init__(self, device: Any, name: str = "kvm") -> None:
+    def __init__(self, device: KVM) -> None:
         # Priced by the device's clock and cost model, not a host kernel.
         self.device = device
-        self.name = name
+        self.name = device.calls.backend
         self.costs = device.costs
         self.clock = device.clock
         self.tracer = device.tracer
 
     def enter_cycles(self) -> int:
-        costs = self.costs
-        return costs.ioctl() + costs.KVM_RUN_CHECKS + costs.VMRUN_ENTRY
+        return self.device.run_cycles + self.costs.VMRUN_ENTRY
 
     def exit_cycles(self) -> int:
+        # The paper gives no WHP exit cost: both tables pay KVM's.
         costs = self.costs
         return costs.VMRUN_EXIT + costs.ioctl()
 
@@ -204,12 +205,25 @@ class Wasp:
         #: this Wasp re-executes a recorded boundary stream instead of
         #: running a live guest.
         self.replay = replay
-        if backend in ("kvm", "hyperv"):
-            backend = VmBackend(self._make_device(backend, fast_paths), backend)
-        elif isinstance(backend, str):
-            raise ValueError(
-                f"unknown VMM backend {backend!r} (use 'kvm', 'hyperv', or an "
-                f"IsolationBackend; create_host builds the software ones)")
+        if isinstance(backend, str):
+            if backend not in VM_DEVICES:
+                raise ValueError(
+                    f"unknown VMM backend {backend!r} (use "
+                    f"{', '.join(map(repr, VM_DEVICES))}, or an "
+                    f"IsolationBackend; create_host builds the software ones)")
+            device_args = dict(fault_plan=self.fault_plan, tracer=self.tracer,
+                               fast_paths=fast_paths, recorder=self.recorder,
+                               calls=VM_DEVICES[backend])
+            if replay is None:
+                device = KVM(self.clock, self.costs, **device_args)
+            else:
+                # The replay substrate's device feeds recorded vmexits to
+                # the handler plane and never builds a guest interpreter.
+                from repro.replay.substrate import ReplayDevice
+
+                device = ReplayDevice(self.clock, self.costs, session=replay,
+                                      **device_args)
+            backend = VmBackend(device)
         if backend.device is None and (recorder is not None or replay is not None):
             raise ValueError(
                 f"record/replay needs a VM backend, not {backend.name!r}")
@@ -219,9 +233,9 @@ class Wasp:
         #: Its declared capabilities (conformance gates on these).
         self.caps = backend.caps
         self.backend = backend.name
-        #: The VMM device (``None`` on software backends); ``vmm`` is the
-        #: backend-neutral alias of the historical ``kvm`` name.
-        self.kvm = self.vmm = backend.device
+        #: The VM device, over either call table (``None`` on software
+        #: backends).
+        self.kvm = backend.device
         self.background = BackgroundAccountant()
         #: Reset-state registry.  The in-memory :class:`SnapshotStore`
         #: by default; pass a :class:`repro.store.cas.DurableSnapshotStore`
@@ -245,27 +259,6 @@ class Wasp:
         #: The attached :class:`repro.wasp.admission.Watchdog`, if any
         #: (set by the watchdog; consulted at every preemption point).
         self.watchdog = None
-
-    def _make_device(self, name: str, fast_paths: bool) -> Any:
-        """The VMM device behind a VM backend.
-
-        Under replay the substrate's device stands in: it feeds recorded
-        vmexits to the handler plane and never constructs a guest
-        interpreter.
-        """
-        common = dict(fault_plan=self.fault_plan, tracer=self.tracer,
-                      fast_paths=fast_paths, recorder=self.recorder)
-        if self.replay is not None:
-            from repro.replay.substrate import ReplayHyperV, ReplayKVM
-
-            device_cls = ReplayKVM if name == "kvm" else ReplayHyperV
-            return device_cls(self.clock, self.costs, session=self.replay,
-                              **common)
-        if name == "kvm":
-            return KVM(self.clock, self.costs, **common)
-        from repro.hyperv.device import HyperV
-
-        return HyperV(self.clock, self.costs, **common)
 
     # -- pools ---------------------------------------------------------------
     def memory_size_for(self, image: VirtineImage) -> int:

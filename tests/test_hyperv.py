@@ -3,12 +3,14 @@
 import pytest
 
 from repro.hw.clock import Clock
+from repro.hw.costs import COSTS
 from repro.hw.cpu import Mode
 from repro.hw.isa import Assembler
 from repro.hw.vmx import ExitReason
 from repro.hyperv.device import HyperV, HypervError
+from repro.kvm.device import VM_DEVICES
 from repro.runtime.image import ImageBuilder
-from repro.wasp import PermissivePolicy, Wasp
+from repro.wasp import BitmaskPolicy, Hypercall, PermissivePolicy, VirtineConfig, Wasp
 
 
 class TestWhpSurface:
@@ -53,8 +55,6 @@ class TestWaspOnHyperV:
         assert wasp.launch(image, args=21).value == 42
 
     def test_snapshotting_works(self):
-        from repro.wasp import BitmaskPolicy, Hypercall, VirtineConfig
-
         wasp = Wasp(backend="hyperv")
 
         def entry(env):
@@ -99,3 +99,20 @@ class TestWaspOnHyperV:
         metrics = collect(wasp)
         assert metrics.launches == 1
         assert metrics.vms_created == 1
+
+
+@pytest.mark.parametrize("backend", sorted(VM_DEVICES))
+def test_hosted_entry_pays_the_device_run_cost(backend):
+    """Re-entering a hosted guest pays its own device's run call, not
+    KVM's: one READ hypercall's boundary charge is the exit plus the
+    table's run cost and the world switch in."""
+    wasp = Wasp(backend=backend, telemetry=True)
+    image = ImageBuilder().hosted(
+        "read", lambda env: env.hypercall(Hypercall.READ, 3, 4))
+    wasp.launch(image, policy=BitmaskPolicy(VirtineConfig.allowing(Hypercall.READ)),
+                handlers={Hypercall.READ: lambda request: b""})
+    entry = VM_DEVICES[backend].price(COSTS)[3] + COSTS.VMRUN_ENTRY
+    boundary = wasp.telemetry.counter("component_cycles_total",
+                                      component="hypercall.boundary")
+    assert wasp.isolation.enter_cycles() == entry
+    assert boundary.value == wasp.isolation.exit_cycles() + entry
