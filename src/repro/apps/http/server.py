@@ -219,6 +219,9 @@ class StaticHttpServer:
     # -- virtine handling -----------------------------------------------------------
     def _entry(self, env: GuestEnv) -> int:
         """The annotated connection-handler: seven host interactions."""
+        # Snapshot mode captures the initialized handler once (§6.3).
+        if self.isolation == "snapshot" and not env.from_snapshot:
+            env.snapshot()
         raw = env.hypercall(Hypercall.RECV, CONN_HANDLE, 4096)  # (1)
         env.charge(HTTP_PARSE_COST)
         request = parse_request(raw)

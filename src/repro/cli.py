@@ -10,17 +10,19 @@ runners.  Commands:
   backend: capabilities, creation cost, measured boundary crossing).
 * ``metrics``   -- run a supervised workload under injected faults and
   dump the supervision counters (``--json`` for machine-readable).
-* ``trace``     -- run a traced workload and emit the span timeline,
-  per-phase histograms, and attribution (``--format json`` writes a
-  Chrome trace-event file loadable at https://ui.perfetto.dev).
+* ``trace``     -- run a registry workload (:data:`repro.workloads.
+  WORKLOADS`: echo, http_snapshot, serverless, faulty) traced and emit
+  its span timeline, per-phase histograms, and attribution (``--format
+  json`` writes a Chrome trace-event file for https://ui.perfetto.dev);
+  ``telemetry`` exports the same run's telemetry snapshot instead.
 * ``admission-replay`` -- run a seeded burst workload through the
   overload-protected scheduler twice and verify the recorded admission
   trace replays identically (IRIS-style record-and-replay).
 * ``replay``    -- the hypervisor-boundary record/replay plane:
-  ``record`` a workload's boundary event stream, ``run`` it back through
-  the live handler plane with no guest interpreter (byte-identical or
-  exit 1), or ``fuzz`` seeded mutations of it and assert every hostile
-  stream lands in the typed crash taxonomy.
+  ``record`` a registry workload's boundary event stream, ``run`` it
+  back through the live handler plane with no guest interpreter
+  (byte-identical or exit 1), or ``fuzz`` seeded mutations of it and
+  assert every hostile stream lands in the typed crash taxonomy.
 * ``chaos``     -- the durability gauntlet: crash-point fuzz the durable
   snapshot store (kill + recover after every journal record), then run
   the seeded cluster chaos plan twice and assert exactly-once recovery
@@ -35,13 +37,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 from repro import __version__
 from repro.units import cycles_to_us
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.wasp.guestenv import GuestEnv
 
 
 def _ok(label: str, detail: str = "") -> None:
@@ -254,19 +252,17 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _blob_reader_entry(env: GuestEnv) -> int:
-    """The ``repro metrics`` job: snapshot after init, then read a blob."""
-    from repro.host.filesystem import O_RDONLY
-    from repro.wasp import Hypercall
+def _metrics_plan(seed: int):
+    """The ``repro metrics`` fault mix."""
+    from repro.faults import FaultPlan, FaultSite
 
-    if not env.from_snapshot:
-        env.charge(20_000)  # init work that snapshotting elides
-        env.snapshot()
-    fd = env.hypercall(Hypercall.OPEN, "/data/blob", O_RDONLY)
-    data = env.hypercall(Hypercall.READ, fd, 4096)
-    env.hypercall(Hypercall.CLOSE, fd)
-    env.charge_bytes(len(data))
-    return len(data)
+    return (
+        FaultPlan(seed=seed)
+        .fail(FaultSite.VCPU_RUN, rate=0.06)
+        .fail(FaultSite.HOST_SYSCALL, rate=0.04)
+        .fail(FaultSite.POOL_ACQUIRE, rate=0.04)
+        .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.03)
+    )
 
 
 def _cmd_metrics_cluster(args: argparse.Namespace) -> int:
@@ -279,27 +275,15 @@ def _cmd_metrics_cluster(args: argparse.Namespace) -> int:
     ``primary`` view.
     """
     from repro.cluster.smp import VirtineCluster
-    from repro.faults import FaultPlan, FaultSite
-    from repro.runtime.image import ImageBuilder
     from repro.wasp import PermissivePolicy
     from repro.wasp.metrics import aggregate, collect
+    from repro.workloads import serverless_job
 
-    def plan_for(core_id: int) -> FaultPlan:
-        # Independent per-core fault streams, derived from the one seed.
-        return (
-            FaultPlan(seed=args.seed * 100 + core_id)
-            .fail(FaultSite.VCPU_RUN, rate=0.06)
-            .fail(FaultSite.HOST_SYSCALL, rate=0.04)
-            .fail(FaultSite.POOL_ACQUIRE, rate=0.04)
-            .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.03)
-        )
-
-    cluster = VirtineCluster(args.cores, seed=args.seed, supervised=True,
-                             fault_plan_factory=plan_for)
-    for engine in cluster.engines:
-        engine.wasp.kernel.fs.add_file("/data/blob", b"x" * 4096)
-
-    image = ImageBuilder().hosted(name="metrics-job", entry=_blob_reader_entry)
+    # Independent per-core fault streams, derived from the one seed.
+    cluster = VirtineCluster(
+        args.cores, seed=args.seed, supervised=True,
+        fault_plan_factory=lambda core: _metrics_plan(args.seed * 100 + core))
+    image = serverless_job("metrics-job", *(e.wasp for e in cluster.engines))
     report = cluster.launch_many(
         image, [None] * args.requests,
         policy=PermissivePolicy(), use_snapshot=True,
@@ -345,18 +329,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if getattr(args, "cores", 1) > 1:
         return _cmd_metrics_cluster(args)
     from repro.apps.serverless.platform import SupervisedPlatform
-    from repro.faults import FaultPlan, FaultSite
-    from repro.runtime.image import ImageBuilder
     from repro.wasp import PermissivePolicy, Wasp
     from repro.wasp.metrics import collect
+    from repro.workloads import serverless_job
 
-    plan = (
-        FaultPlan(seed=args.seed)
-        .fail(FaultSite.VCPU_RUN, rate=0.06)
-        .fail(FaultSite.HOST_SYSCALL, rate=0.04)
-        .fail(FaultSite.POOL_ACQUIRE, rate=0.04)
-        .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.03)
-    )
+    plan = _metrics_plan(args.seed)
     # The primary captures into the journaled content-addressed store,
     # so the dump includes the durable-store counter surface (dedup
     # ratio, GC, scrub, journal) alongside the supervision counters.
@@ -364,10 +341,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     primary = Wasp(fault_plan=plan, snapshot_store=DurableSnapshotStore())
     fallback = Wasp()
-    for wasp in (primary, fallback):
-        wasp.kernel.fs.add_file("/data/blob", b"x" * 4096)
-
-    image = ImageBuilder().hosted(name="metrics-job", entry=_blob_reader_entry)
+    image = serverless_job("metrics-job", primary, fallback)
     platform = SupervisedPlatform(primary, fallback)
     report = platform.run_workload(
         image,
@@ -498,70 +472,16 @@ def cmd_admission_replay(args: argparse.Namespace) -> int:
     return 0 if (match and p99_ok and queue_ok) else 1
 
 
-def _traced_echo(seed: int, requests: int, telemetry=None):
-    from repro.apps.http.server import EchoServer
-    from repro.wasp import Wasp
+def _workload(name: str):
+    """The registry entry ``name``, looked up at run time (importing the
+    registry loads the Wasp stack); exits 2 if there is none."""
+    from repro.workloads import resolve
 
-    wasp = Wasp(trace=True, telemetry=telemetry)
-    echo = EchoServer(wasp, port=7)
-    for i in range(requests):
-        conn = wasp.kernel.sys_connect(7)
-        wasp.kernel.sys_send(conn, b"ping %d" % i)
-        echo.handle_one()
-    return wasp
-
-
-def _traced_http(seed: int, requests: int, telemetry=None):
-    from repro.apps.http.client import RequestGenerator
-    from repro.apps.http.server import StaticHttpServer
-    from repro.wasp import Wasp
-
-    wasp = Wasp(trace=True, telemetry=telemetry)
-    wasp.kernel.fs.add_file("/srv/index.html", b"<html>trace</html>")
-    server = StaticHttpServer(wasp, port=8080, isolation="snapshot")
-    generator = RequestGenerator(wasp.kernel, server, "/index.html")
-    for _ in range(requests):
-        generator.one_request()
-    return wasp
-
-
-def _snapshot_burst_entry(env: GuestEnv) -> int:
-    """The traced serverless job: snapshot after init, then touch a page."""
-    if not env.from_snapshot:
-        env.charge(20_000)
-        env.snapshot()
-    env.charge_bytes(4096)
-    return 0
-
-
-def _traced_serverless(seed: int, requests: int, telemetry=None):
-    """A seeded faulty burst, so shed/retry/quarantine spans appear."""
-    from repro.apps.serverless.platform import SupervisedPlatform
-    from repro.faults import FaultPlan, FaultSite
-    from repro.runtime.image import ImageBuilder
-    from repro.wasp import PermissivePolicy, Wasp
-
-    plan = (
-        FaultPlan(seed=seed)
-        .fail(FaultSite.VCPU_RUN, rate=0.08)
-        .fail(FaultSite.POOL_ACQUIRE, rate=0.05)
-        .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.05)
-    )
-    primary = Wasp(fault_plan=plan, trace=True, telemetry=telemetry)
-    fallback = Wasp()
-
-    image = ImageBuilder().hosted(name="trace-job", entry=_snapshot_burst_entry)
-    SupervisedPlatform(primary, fallback).run_workload(
-        image, [None] * requests, policy=PermissivePolicy(), use_snapshot=True,
-    )
-    return primary
-
-
-TRACE_WORKLOADS = {
-    "echo": _traced_echo,
-    "http": _traced_http,
-    "serverless": _traced_serverless,
-}
+    try:
+        return resolve(name)
+    except ValueError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -576,17 +496,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         validate_chrome_trace,
     )
 
-    registry = None
-    if getattr(args, "telemetry", False):
-        from repro.telemetry import TelemetryRegistry
-
-        registry = TelemetryRegistry()
-    wasp = TRACE_WORKLOADS[args.workload](args.seed, args.requests,
-                                          telemetry=registry)
+    wasp = _workload(args.workload).run(args.seed, args.requests,
+                                        telemetry=args.telemetry)
     tracer = wasp.tracer
 
     if args.format == "json":
-        payload = to_chrome_json(tracer, registry)
+        payload = to_chrome_json(tracer, wasp.telemetry if args.telemetry else None)
         validate_chrome_trace(json.loads(payload))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -631,14 +546,14 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         to_prometheus,
     )
 
+    entry = _workload(args.workload)
     if args.cores > 1:
         from repro.cluster.smp import VirtineCluster
-        from repro.runtime.image import ImageBuilder
         from repro.wasp import PermissivePolicy
+        from repro.workloads import serverless_job
 
         cluster = VirtineCluster(args.cores, seed=args.seed, telemetry=True)
-
-        image = ImageBuilder().hosted(name="telemetry-job", entry=_snapshot_burst_entry)
+        image = serverless_job("telemetry-job", *(e.wasp for e in cluster.engines))
         cluster.launch_many(image, [None] * args.requests,
                             policy=PermissivePolicy(), use_snapshot=True)
         snapshot = cluster.telemetry_snapshot(
@@ -652,8 +567,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
                 name="launch-p99", metric="launch_cycles",
                 deadline_cycles=args.slo_deadline,
             ))
-        wasp = TRACE_WORKLOADS[args.workload](args.seed, args.requests,
-                                              telemetry=registry)
+        wasp = entry.run(args.seed, args.requests, telemetry=registry)
         absorb_wasp(registry, wasp)
         snapshot = TelemetrySnapshot.capture(
             registry,
@@ -704,11 +618,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Workloads the boundary record/replay plane can drive (kept in sync
-#: with :data:`repro.replay.workloads.REPLAY_WORKLOADS`, asserted there).
-REPLAY_WORKLOAD_NAMES = ("echo", "faulty", "http_snapshot", "serverless")
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     """Record, replay, or fuzz a hypervisor-boundary event stream."""
     import os
@@ -716,6 +625,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.replay import BoundaryStream, InterfaceFuzzer, record, replay
 
     if args.replay_verb == "record":
+        _workload(args.workload)
         stream = record(args.workload, seed=args.seed, requests=args.requests,
                         backend=args.backend)
         stream.save(args.out, indent=2)
@@ -1039,8 +949,7 @@ def main(argv: list[str] | None = None) -> int:
         "trace", help="cycle-accurate span trace of a workload"
     )
     trace.add_argument("workload", nargs="?", default="echo",
-                       choices=sorted(TRACE_WORKLOADS),
-                       help="workload to trace (default echo)")
+                       help="registry workload to trace (default echo)")
     trace.add_argument("--seed", type=int, default=1234,
                        help="fault-plan seed for faulty workloads (default 1234)")
     trace.add_argument("--requests", type=int, default=3,
@@ -1058,8 +967,8 @@ def main(argv: list[str] | None = None) -> int:
         help="deterministic telemetry snapshot of a workload",
     )
     telemetry.add_argument("workload", nargs="?", default="serverless",
-                           choices=sorted(TRACE_WORKLOADS),
-                           help="workload to run (default serverless)")
+                           help="registry workload to run (default "
+                                "serverless)")
     telemetry.add_argument("--seed", type=int, default=1234,
                            help="workload seed (default 1234)")
     telemetry.add_argument("--requests", type=int, default=8,
@@ -1131,8 +1040,7 @@ def main(argv: list[str] | None = None) -> int:
     rec = verbs.add_parser(
         "record", help="record a seeded workload's boundary stream"
     )
-    rec.add_argument("workload", choices=REPLAY_WORKLOAD_NAMES,
-                     help="workload to record")
+    rec.add_argument("workload", help="registry workload to record")
     rec.add_argument("--seed", type=int, default=1234,
                      help="workload seed (default 1234)")
     rec.add_argument("--requests", type=int, default=4,

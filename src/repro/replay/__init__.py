@@ -35,8 +35,6 @@ _LAZY = {
     "CaseResult": "repro.replay.fuzzer",
     "FuzzReport": "repro.replay.fuzzer",
     "InterfaceFuzzer": "repro.replay.fuzzer",
-    "REPLAY_WORKLOADS": "repro.replay.workloads",
-    "WorkloadContext": "repro.replay.workloads",
 }
 
 __all__ = [

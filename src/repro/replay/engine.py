@@ -15,20 +15,17 @@ from dataclasses import dataclass, field
 from repro.kvm.device import VM_DEVICES
 from repro.replay.stream import BoundaryStream, InterfaceRecorder, ReplayDivergence
 from repro.replay.substrate import ReplaySession
-from repro.replay.workloads import REPLAY_WORKLOADS, WorkloadContext, collect_meta
+from repro.workloads import WorkloadContext, collect_meta, resolve
 
 
 def record(workload: str, seed: int = 1234, requests: int = 4,
            backend: str = "kvm") -> BoundaryStream:
     """Run ``workload`` live with a recorder attached; return the stream."""
-    driver = REPLAY_WORKLOADS.get(workload)
-    if driver is None:
-        raise ValueError(
-            f"unknown workload {workload!r} (one of {sorted(REPLAY_WORKLOADS)})")
+    drive = resolve(workload).drive
     recorder = InterfaceRecorder()
     ctx = WorkloadContext(seed=seed, requests=requests, backend=backend,
                           recorder=recorder)
-    wasp, stats = driver(ctx)
+    wasp, stats = drive(ctx)
     return recorder.finish(
         workload,
         {"seed": seed, "requests": requests, "backend": backend},
@@ -83,9 +80,7 @@ def diff_streams(recorded: BoundaryStream, replayed: BoundaryStream) -> list[str
 
 def replay(stream: BoundaryStream, strict: bool = True) -> ReplayReport:
     """Re-execute the handler plane against ``stream`` and diff."""
-    driver = REPLAY_WORKLOADS.get(stream.workload)
-    if driver is None:
-        raise ValueError(f"stream names unknown workload {stream.workload!r}")
+    drive = resolve(stream.workload).drive
     params = stream.params
     seed, requests = params.get("seed"), params.get("requests")
     backend = params.get("backend")
@@ -98,7 +93,7 @@ def replay(stream: BoundaryStream, strict: bool = True) -> ReplayReport:
     ctx = WorkloadContext(seed=seed, requests=requests, backend=backend,
                           recorder=recorder, session=session)
     try:
-        wasp, stats = driver(ctx)
+        wasp, stats = drive(ctx)
     except ReplayDivergence as error:
         # Strict replay caught the handler plane disagreeing with the
         # recording mid-drive: report it, don't let it escape as a bare

@@ -24,10 +24,10 @@ from typing import Any, Callable
 from repro.faults import InjectedFault
 from repro.replay.stream import BoundaryStream
 from repro.replay.substrate import ReplaySession
-from repro.replay.workloads import REPLAY_WORKLOADS, WorkloadContext
 from repro.wasp.admission import AdmissionRejected
 from repro.wasp.supervisor import BreakerOpen
 from repro.wasp.virtine import VirtineCrash
+from repro.workloads import WorkloadContext, resolve
 
 #: Exception types that count as a *typed* verdict when they escape the
 #: driver's own per-request containment.
@@ -375,8 +375,7 @@ class InterfaceFuzzer:
 
     def __init__(self, stream: BoundaryStream, seed: int = 1234,
                  artifacts_dir: str | None = None) -> None:
-        if stream.workload not in REPLAY_WORKLOADS:
-            raise ValueError(f"stream names unknown workload {stream.workload!r}")
+        self.drive = resolve(stream.workload).drive
         self.stream = stream
         self.seed = seed
         self.artifacts_dir = Path(artifacts_dir) if artifacts_dir else None
@@ -400,10 +399,9 @@ class InterfaceFuzzer:
             seed=params["seed"], requests=params["requests"],
             backend=params["backend"], session=session,
         )
-        driver = REPLAY_WORKLOADS[self.stream.workload]
         result = CaseResult(index=index, mutation=mutation, outcome="completed")
         try:
-            driver(ctx)
+            self.drive(ctx)
         except TYPED_ESCAPES as escape:
             result.outcome = f"typed:{type(escape).__name__}"
             result.detail = str(escape)

@@ -1190,12 +1190,12 @@ class VirtineSession:
                 wasp._run_loop(self._virtine, args, max_steps, self._persistent)
         else:
             # Warm re-entry: the runtime inside the retained context is
-            # still alive; one KVM_RUN round trip re-enters it.
+            # still alive; one run-call round trip re-enters it.
             virtine = self._virtine
             assert virtine is not None
             virtine.policy.reset()
             self._arm(deadline_cycles, deadline)
-            wasp.clock.advance(wasp.costs.vmrun_roundtrip())
+            wasp.clock.advance(wasp.isolation.enter_cycles() + wasp.costs.VMRUN_EXIT)
             wasp._run_hosted(virtine, args, restored=self._persistent.get("state"),
                              persistent=self._persistent)
         self.invocations += 1

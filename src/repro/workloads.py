@@ -1,6 +1,8 @@
-"""The recordable workloads behind the replay corpus.
+"""The workload registry behind ``repro trace|telemetry|replay``.
 
-Each driver builds a Wasp (optionally wired to an
+Each entry of :data:`WORKLOADS` is a driver plus the paths it claims to
+run, which :meth:`Workload.missed` checks against the Wasp's counters.
+A driver builds a Wasp (optionally wired to an
 :class:`~repro.replay.stream.InterfaceRecorder` and/or a
 :class:`~repro.replay.substrate.ReplaySession`), runs a small seeded
 workload, and returns ``(wasp, stats)``.  The same driver runs in three
@@ -33,6 +35,7 @@ from repro.trace import attribution
 from repro.wasp.admission import AdmissionRejected
 from repro.wasp.hypercall import Hypercall
 from repro.wasp.hypervisor import Wasp
+from repro.wasp.metrics import collect
 from repro.wasp.policy import BitmaskPolicy, PermissivePolicy, VirtineConfig
 from repro.wasp.supervisor import BreakerOpen, Supervisor
 from repro.wasp.virtine import VirtineCrash
@@ -49,6 +52,8 @@ class WorkloadContext:
     recorder: Any = None
     #: Replay session (None = live guests).
     session: Any = None
+    #: Telemetry registry wired into the Wasp (None = telemetry off).
+    telemetry: Any = None
     #: The Wasp the driver built -- stored eagerly so fuzz harnesses can
     #: inspect kernel/snapshot state even when the driver dies mid-run.
     wasp: Any = None
@@ -66,6 +71,7 @@ class WorkloadContext:
             fault_plan=fault_plan,
             recorder=self.recorder,
             replay=self.session,
+            telemetry=self.telemetry,
         )
         self.wasp = wasp
         return wasp
@@ -189,13 +195,18 @@ def _serverless_entry(env: Any) -> int:
     return len(data)
 
 
+def serverless_job(name: str, *wasps: Wasp) -> VirtineImage:
+    """The serverless job as image ``name``, its blob staged on ``wasps``."""
+    for wasp in wasps:
+        wasp.kernel.fs.add_file(BLOB_PATH, b"r" * 2048)
+    return ImageBuilder().hosted(name=name, entry=_serverless_entry)
+
+
 def _drive_serverless(ctx: WorkloadContext,
                       fault_plan: FaultPlan | None = None) -> tuple[Wasp, dict]:
     wasp = ctx.make_wasp(fault_plan=fault_plan)
-    wasp.kernel.fs.add_file(BLOB_PATH, b"r" * 2048)
+    image = serverless_job("replay-serverless", wasp)
     supervisor = Supervisor(wasp)
-    image = ImageBuilder().hosted(name="replay-serverless",
-                                  entry=_serverless_entry)
     outcomes: list[dict] = []
     for _ in range(ctx.requests):
         try:
@@ -229,12 +240,53 @@ def _drive_faulty(ctx: WorkloadContext) -> tuple[Wasp, dict]:
     return _drive_serverless(ctx, fault_plan=plan)
 
 
-REPLAY_WORKLOADS: dict[str, Callable[[WorkloadContext], tuple[Wasp, dict]]] = {
-    "echo": _drive_echo,
-    "http_snapshot": _drive_http_snapshot,
-    "serverless": _drive_serverless,
-    "faulty": _drive_faulty,
+@dataclass(frozen=True)
+class Workload:
+    """A driver and its path claims.  ``restores``/``pool_hits``: every
+    launch after the first takes that path (True), none does (False),
+    or no claim (None).  ``faulted``: the supervisor retries and a
+    snapshot restore falls back to a cold boot."""
+
+    drive: Callable[[WorkloadContext], tuple[Wasp, dict]]
+    restores: bool | None = None
+    pool_hits: bool | None = None
+    faulted: bool = False
+
+    def run(self, seed: int, requests: int, telemetry: Any = None) -> Wasp:
+        """Drive the workload live; return the Wasp it ran on."""
+        ctx = WorkloadContext(seed=seed, requests=requests, telemetry=telemetry)
+        return self.drive(ctx)[0]
+
+    def missed(self, wasp: Wasp, requests: int) -> list[str]:
+        """The claims ``wasp``'s counters contradict after ``requests``."""
+        sample, warm = collect(wasp), max(requests - 1, 0)
+        missed = [
+            f"{count} {path} over {warm} warm launches, claimed "
+            f"{'all' if claim else 'none'}"
+            for path, claim, count in (
+                ("snapshot restores", self.restores, sample.snapshot_restores),
+                ("pool hits", self.pool_hits, sum(p.hits for p in sample.pools)))
+            if claim is not None and count != (warm if claim else 0)
+        ]
+        if self.faulted and not (sample.retries and sample.snapshot_fallbacks):
+            missed.append(f"faults did not bite: {sample.retries} retries, "
+                          f"{sample.snapshot_fallbacks} snapshot fallbacks")
+        return missed
+
+
+WORKLOADS: dict[str, Workload] = {
+    "echo": Workload(_drive_echo, restores=False, pool_hits=True),
+    "http_snapshot": Workload(_drive_http_snapshot, restores=True, pool_hits=True),
+    "serverless": Workload(_drive_serverless, restores=True, pool_hits=True),
+    "faulty": Workload(_drive_faulty, faulted=True),
 }
+
+
+def resolve(name: str) -> Workload:
+    """The entry called ``name``; ValueError lists the known names."""
+    if name not in WORKLOADS:
+        raise ValueError(f"unknown workload {name!r} (one of {sorted(WORKLOADS)})")
+    return WORKLOADS[name]
 
 
 def collect_meta(wasp: Wasp, stats: dict) -> dict:

@@ -4,14 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import REPLAY_WORKLOAD_NAMES, main
+from repro.cli import main
 from repro.replay import BoundaryStream
-from repro.replay.workloads import REPLAY_WORKLOADS
-
-
-def test_cli_workload_names_match_registry():
-    # The CLI choices are a hand-kept literal; keep it honest.
-    assert set(REPLAY_WORKLOAD_NAMES) == set(REPLAY_WORKLOADS)
 
 
 class TestRecordVerb:

@@ -15,7 +15,7 @@ import pytest
 from repro.replay import BoundaryStream, InterfaceFuzzer, record
 from repro.replay.fuzzer import MUTATORS
 from repro.replay.substrate import ReplaySession
-from repro.replay.workloads import REPLAY_WORKLOADS, WorkloadContext
+from repro.workloads import WORKLOADS, WorkloadContext
 
 
 def _fuzz(workload, *, record_seed=5, fuzz_seed=99, cases=30, **kwargs):
@@ -24,7 +24,7 @@ def _fuzz(workload, *, record_seed=5, fuzz_seed=99, cases=30, **kwargs):
 
 
 class TestHostileGuestInvariant:
-    @pytest.mark.parametrize("workload", sorted(REPLAY_WORKLOADS))
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_no_untyped_escapes(self, workload):
         report = _fuzz(workload)
         untyped = [c for c in report.cases if c.outcome.startswith("untyped:")]
@@ -69,7 +69,7 @@ class TestHostileGuestInvariant:
             ctx = WorkloadContext(seed=5, requests=3, backend="kvm",
                                   session=ReplaySession(mutated, strict=False))
             try:
-                wasp, stats = REPLAY_WORKLOADS["echo"](ctx)
+                wasp, stats = WORKLOADS["echo"].drive(ctx)
             except TYPED_ESCAPES as escape:
                 seen[name] = type(escape).__name__
                 continue
@@ -134,7 +134,7 @@ class TestHostPlaneIntegrity:
         mutated = BoundaryStream.from_json(json.dumps(payload))
         ctx = WorkloadContext(seed=5, requests=3, backend="kvm",
                               session=ReplaySession(mutated, strict=False))
-        wasp, stats = REPLAY_WORKLOADS["echo"](ctx)
+        wasp, stats = WORKLOADS["echo"].drive(ctx)
         outcomes = stats["outcomes"]
         assert outcomes[0].get("crash") == "GuestFault"
         assert "bad hypercall 99" in outcomes[0]["detail"]

@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 from repro.replay import BoundaryStream, record, replay
-from repro.replay.workloads import REPLAY_WORKLOADS
+from repro.workloads import WORKLOADS as REGISTRY
 
 CORPUS = Path(__file__).resolve().parents[2] / "corpus" / "replay"
-WORKLOADS = sorted(REPLAY_WORKLOADS)
+WORKLOADS = sorted(REGISTRY)
 
 
 class TestRecordDeterminism:
@@ -133,7 +133,7 @@ class TestCorpus:
         assert report.ok, report.divergences
 
     def test_corpus_covers_every_workload(self):
-        assert {p.stem for p in CORPUS.glob("*.json")} == set(REPLAY_WORKLOADS)
+        assert {p.stem for p in CORPUS.glob("*.json")} == set(REGISTRY)
 
 
 class TestArtifactValidation:

@@ -145,7 +145,7 @@ class TestTrace:
     def test_text_timeline(self, capsys):
         assert main(["trace", "echo", "--requests", "2"]) == 0
         out = capsys.readouterr().out
-        assert "launch:echo-server" in out
+        assert "launch:replay-echo" in out
         assert "attribution (leaf cycles by category):" in out
         assert "per-phase latency histograms" in out
         assert "pool.acquire" in out
@@ -178,12 +178,19 @@ class TestTrace:
         assert main(["trace", "serverless", "--requests", "8",
                      "--seed", "1234"]) == 0
         out = capsys.readouterr().out
-        assert "supervise:trace-job" in out
+        assert "supervise:replay-serverless" in out
 
     def test_http_workload(self, capsys):
-        assert main(["trace", "http", "--requests", "2"]) == 0
+        assert main(["trace", "http_snapshot", "--requests", "2"]) == 0
         out = capsys.readouterr().out
         assert "hypercall" in out
+
+    @pytest.mark.parametrize("command", ["trace", "telemetry"])
+    def test_unknown_workload_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "http"])
+        assert exit_info.value.code == 2
+        assert "unknown workload 'http' (one of" in capsys.readouterr().err
 
 
 class TestScaleCommand:

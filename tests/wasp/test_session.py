@@ -129,3 +129,16 @@ class TestSessionRunLoop:
 
         with pytest.raises(ValueError, match="VM shell"):
             create_host("sud").session(builder.hosted("counter", counter_entry))
+
+
+@pytest.mark.parametrize("backend, cycles", [("kvm", 3_600), ("hyperv", 4_000)])
+def test_warm_reentry_pays_the_backends_own_run_call(backend, cycles):
+    """A warm invoke is one enter/exit round trip through the device's
+    run call: KVM_RUN on KVM, the dearer WHvRunVirtualProcessor on
+    Hyper-V."""
+    wasp = Wasp(backend=backend)
+    session = wasp.session(ImageBuilder().hosted("one", lambda env: 1),
+                           use_snapshot=False)
+    session.invoke()
+    assert session.invoke().cycles == cycles
+    session.close()
